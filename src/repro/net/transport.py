@@ -20,9 +20,10 @@ Both directions share :class:`~repro.sim.tracing.MessageStats`, so the
 message-complexity accounting of live runs is comparable with simulated
 ones.
 
-:class:`StreamConnection` is an :class:`asyncio.Protocol`, not a
-StreamReader pump: inbound bytes dispatch synchronously from
-``data_received`` (no per-frame task wakeups), and outbound envelopes
+:class:`StreamConnection` is an :class:`asyncio.BufferedProtocol`, not a
+StreamReader pump: the socket reads into one reusable buffer per
+connection, inbound bytes dispatch synchronously from ``data_received``
+(no per-frame task wakeups), and outbound envelopes
 *coalesce* — encoded frames accumulate in a buffer that flushes either on
 the next event-loop tick (``call_soon``) or as soon as it crosses a
 tunable watermark, so a burst of n messages to one peer costs one
@@ -136,6 +137,10 @@ class SimTransport(Transport):
 #: letting an open-loop burst build unbounded latency in user space.
 DEFAULT_FLUSH_WATERMARK = 64 * 1024
 
+#: Per-connection receive buffer. A read larger than this is split across
+#: reads, and the assembler carries partial frames between them.
+READ_BUFFER_SIZE = 64 * 1024
+
 
 class HostFlusher:
     """End-of-burst write coalescing shared by one host's connections.
@@ -178,7 +183,7 @@ class HostFlusher:
             conn._flush()
 
 
-class StreamConnection(asyncio.Protocol):
+class StreamConnection(asyncio.BufferedProtocol):
     """One framed, identified, *pipelined* stream to a peer.
 
     Inbound: ``data_received`` feeds the assembler and dispatches every
@@ -222,6 +227,11 @@ class StreamConnection(asyncio.Protocol):
         self._on_close = on_close
         self._on_connected = on_connected
         self._assembler = FrameAssembler()
+        # Socket reads land here (BufferedProtocol) instead of in a fresh
+        # bytes object per read: asyncio's per-read buffer is 256 KiB,
+        # above glibc's default mmap threshold, so each read would map,
+        # fault in and unmap its pages.
+        self._read_buf = memoryview(bytearray(READ_BUFFER_SIZE))
         self._pending: list[bytes] = []  # frames received before start_pump
         self._pumping = False
         self._frame_waiter: Optional[asyncio.Future] = None
@@ -234,7 +244,15 @@ class StreamConnection(asyncio.Protocol):
         # construction time, not the loop the connection runs on.
         self._closed_event: Optional[asyncio.Event] = None
 
-    # -- asyncio.Protocol ----------------------------------------------
+    # -- asyncio.BufferedProtocol --------------------------------------
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read_buf
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # The assembler copies every frame and any partial tail out of
+        # the view, so the buffer is free again when this returns.
+        self.data_received(self._read_buf[:nbytes])
+
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
         self._loop = asyncio.get_running_loop()

@@ -43,6 +43,14 @@ JSON; the adversarial path loses nothing. Both codecs are exposed as
 :func:`get_codec` objects with identical surfaces; a frame of either
 version is rejected by the other's decoder exactly as an unknown future
 version would be.
+
+The binary codec memoizes what honest traffic repeats — labels,
+timestamps, old_vals entries, envelope headers, broadcast payloads — in
+:class:`BoundedMemo` tables, each capped by entries and bytes
+(:data:`MEMO_BUDGETS`), so a peer sending fresh values in every frame can
+pin at most the budgets. Decode keys are exact bytes of the prefix-free
+encoding; encode keys are values of shapes whose equality implies
+identical bytes. Memos never change the wire (docs/LIVE.md, section 2).
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ __all__ = [
     "CODECS",
     "JsonCodec",
     "BinaryCodec",
+    "BoundedMemo",
+    "MEMO_BUDGETS",
     "encode_value",
     "decode_value",
     "encode_frame",
@@ -434,15 +444,128 @@ _MESSAGE_FIELDS: dict[type, tuple] = {
     cls: dataclasses.fields(cls) for cls in _MESSAGE_ORDER
 }
 
-#: Capped memo of packed label encodings/decodings (the Alon domain for a
-#: deployed n is tiny — n=6 has 57 labels — so these saturate instantly;
-#: the cap only matters under fuzzing). Same pattern as
-#: ``AlonLabelingScheme._CACHE_LIMIT``.
-_ALON_CACHE_LIMIT = 65536
-_ALON_DEC: dict[bytes, Any] = {}
-
 #: Identity-memo "empty" marker; `is`-distinct from every encodable value.
 _MEMO_UNSET = object()
+
+
+# ----------------------------------------------------------------------
+# bounded memos
+# ----------------------------------------------------------------------
+class BoundedMemo:
+    """A memo table bounded by an entry count and a byte count.
+
+    ``put`` charges each entry the length of the wire bytes it stands for
+    (its encoding, or the span it was decoded from). An admission that
+    would exceed either budget first clears the table, which later misses
+    refill: a hit is one lookup with no recency bookkeeping (as LRU would
+    need), and an admission a few operations, which matters because a
+    forging replica makes every value it sends an admission. Honest entries a flood cleared are back
+    after their next miss. An entry larger than the whole byte budget is
+    never admitted. ``hits``, ``misses`` and ``evictions`` count lookups
+    that found an entry, lookups that did not, and entries cleared.
+    """
+
+    __slots__ = (
+        "max_entries",
+        "max_bytes",
+        "table",
+        "nbytes",
+        "hits",
+        "misses",
+        "evictions",
+    )
+
+    def __init__(self, max_entries: int, max_bytes: int) -> None:
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self.table: dict[Any, Any] = {}
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, key: Any) -> Any:
+        """The entry for ``key``, or ``None``. Raises TypeError if unhashable."""
+        hit = self.table.get(key)
+        if hit is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return hit
+
+    def put(self, key: Any, value: Any, nbytes: int) -> None:
+        """Admit ``key -> value`` at a cost of ``nbytes`` (first entry wins)."""
+        if nbytes > self.max_bytes:
+            return
+        table = self.table
+        size = len(table)
+        if size >= self.max_entries or self.nbytes + nbytes > self.max_bytes:
+            self.evictions += size
+            table.clear()
+            self.nbytes = size = 0
+        table.setdefault(key, value)  # hashes the key once
+        if len(table) > size:
+            self.nbytes += nbytes
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "entries": len(self.table),
+            "bytes": self.nbytes,
+            "max_entries": self.max_entries,
+            "max_bytes": self.max_bytes,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+
+#: Per-table budgets of :class:`BinaryCodec` as ``(entries, bytes)``.
+#: Honest traffic needs a few dozen of each (the labels, timestamps and
+#: old_vals entries live in the servers' windows, one prefix per channel,
+#: a payload per recent broadcast); everything beyond that is a forger's
+#: one-off values, which is what the budgets exist to shed.
+MEMO_BUDGETS: dict[str, tuple[int, int]] = {
+    "alon_enc": (1024, 64 << 10),
+    "alon_dec": (1024, 64 << 10),
+    "mwmr_enc": (1024, 64 << 10),
+    "mwmr_dec": (1024, 64 << 10),
+    "entry_enc": (1024, 1 << 20),
+    "entry_dec": (1024, 1 << 20),
+    "env_prefix": (1024, 64 << 10),
+    "dec_prefix": (1024, 64 << 10),
+    "dec_payloads": (1024, 1 << 20),
+}
+
+
+def _alon_ok(label: Any) -> bool:
+    """True iff ``label`` is an AlonLabel the ALONP tag carries exactly.
+
+    Exact-``int`` stings in ``[0, 2**32)`` and a frozenset of at most 255
+    such ints. Two such labels that compare equal encode to identical
+    bytes, which is what makes value-keyed encode memos sound: ``True ==
+    1`` and ``1.0 == 1`` would otherwise let a lookalike hit a
+    well-shaped label's entry and be laundered on the wire.
+    """
+    if type(label) is not _label_types()[0]:
+        return False
+    sting, ants = label.sting, label.antistings
+    if type(sting) is not int or not 0 <= sting < 2**32:
+        return False
+    if type(ants) is not frozenset or len(ants) > 255:
+        return False
+    for a in ants:
+        if type(a) is not int or not 0 <= a < 2**32:
+            return False
+    return True
+
+
+def _ts_ok(ts: Any) -> bool:
+    """True iff ``ts`` is a packable label, or an MwmrTimestamp of one
+    with a ``str``/``None`` writer — the shapes the timestamp memos hold."""
+    if type(ts) is _label_types()[1]:
+        writer = ts.writer_id
+        return (writer is None or type(writer) is str) and _alon_ok(ts.label)
+    return _alon_ok(ts)
 
 
 def _enc2_rawstr(out: bytearray, s: str) -> None:
@@ -459,30 +582,49 @@ def _pack_alon(label: Any, codec: "BinaryCodec") -> Optional[bytes]:
     shape (negative stings, alien types, oversized sets) falls through to
     the JSON escape hatch so it survives byte-faithfully.
     """
-    cache = codec._alon_enc
+    key = (label.sting, label.antistings)
     try:
-        hit = cache.get(label)
+        hit = codec._alon_enc.get(key)
     except TypeError:  # unhashable lookalike fields (e.g. list antistings)
         return None
+    # Entries exist only for well-shaped labels; an equal probe is served
+    # only if it is the stored label itself or well-shaped too.
+    if hit is not None and hit[0] is label:
+        return hit[1]
+    if not _alon_ok(label):
+        return None
     if hit is not None:
-        return hit
-    sting, ants = label.sting, label.antistings
-    if type(sting) is not int or not 0 <= sting < 2**32:
-        return None
-    if type(ants) is not frozenset or len(ants) > 255:
-        return None
-    for a in ants:
-        if type(a) is not int or not 0 <= a < 2**32:
-            return None
-    out = bytearray((_T_ALONP,))
-    out += _U32.pack(sting)
-    out.append(len(ants))
-    for a in sorted(ants):
-        out += _U32.pack(a)
+        return hit[1]
+    out = bytearray()
+    _enc2_alonp(out, label)
     packed = bytes(out)
-    if len(cache) < _ALON_CACHE_LIMIT:
-        cache[label] = packed
+    _intern(codec._alon_enc, codec._alon_dec, key, label, packed)
     return packed
+
+
+#: ALONP node bodies by antisting count: sting, count, sorted antistings.
+_ALONP = [struct.Struct(f">IB{n}I") for n in range(256)]
+
+
+def _enc2_alonp(out: bytearray, label: Any) -> None:
+    """Append the ALONP encoding of an ``_alon_ok`` label."""
+    ants = sorted(label.antistings)
+    out.append(_T_ALONP)
+    out += _ALONP[len(ants)].pack(label.sting, len(ants), *ants)
+
+
+def _intern(enc: BoundedMemo, dec: BoundedMemo, key: Any, value: Any, raw: bytes) -> None:
+    """Record a freshly encoded value in an encode memo and its twin.
+
+    Encode keys are the value's fields as a plain tuple: hashing that runs
+    in C, where the frozen label dataclasses' generated ``__hash__`` is
+    Python code, called twice per timestamp lookup. Seeding the decode
+    side with the sender's own object means every in-process receiver of
+    ``raw`` shares that object, so re-encoding it (a server echoing the
+    timestamp it adopted) hits by identity.
+    """
+    enc.put(key, (value, raw), len(raw))
+    dec.put(raw, value, len(raw))
 
 
 def _enc2_escape(value: Any, out: bytearray, codec: "BinaryCodec") -> None:
@@ -525,42 +667,10 @@ def _enc2(value: Any, out: bytearray, codec: "BinaryCodec") -> None:
         return
     AlonLabel, MwmrTimestamp = _label_types()
     if t is AlonLabel:
-        packed = _pack_alon(value, codec)
-        if packed is not None:
-            out += packed
-        else:
-            _enc2_escape(value, out, codec)
+        _enc2_alon(value, out, codec)
         return
     if t is MwmrTimestamp:
-        # Identity-keyed memo: a server's current `ts` object is stable
-        # across many replies and rides along inside every old_vals entry.
-        # The strong ref in the entry keeps the id valid; only shapes with
-        # no reachable mutable state (packed label + str/None writer) are
-        # cached, so in-place mutation can never stale an entry. The id()
-        # is a cache key only, revalidated by identity below — a miss or
-        # collision re-encodes to identical bytes, so run-to-run id
-        # variation cannot reach the wire.
-        cache = codec._mwmr_enc
-        entry = cache.get(id(value))  # lint-ok: DET004
-        if entry is not None and entry[0] is value:
-            out += entry[1]
-            return
-        start = len(out)
-        out.append(_T_MWMR)
-        label = value.label
-        writer = value.writer_id
-        packed = None
-        if type(label) is AlonLabel:
-            packed = _pack_alon(label, codec)
-        if packed is not None:
-            out += packed
-        else:
-            _enc2(label, out, codec)
-        _enc2(writer, out, codec)
-        if packed is not None and (writer is None or type(writer) is str):
-            if len(cache) >= _ALON_CACHE_LIMIT:
-                cache.clear()
-            cache[id(value)] = (value, bytes(out[start:]))  # lint-ok: DET004
+        _enc2_mwmr(value, out, codec)
         return
     if t is tuple or t is list:
         out.append(_T_TUPLE if t is tuple else _T_LIST)
@@ -584,14 +694,117 @@ def _enc2(value: Any, out: bytearray, codec: "BinaryCodec") -> None:
         return
     idx = _MESSAGE_INDEX.get(t)
     if idx is not None:
-        fields = _MESSAGE_FIELDS[t]
+        coders = _FIELD_CODERS[t]
         out.append(_T_MSG)
         out.append(idx)
-        out.append(len(fields))
-        for f in fields:
-            _enc2(getattr(value, f.name), out, codec)
+        out.append(len(coders))
+        for name, enc, _ in coders:
+            enc(getattr(value, name), out, codec)
         return
     _enc2_escape(value, out, codec)
+
+
+def _enc2_alon(label: Any, out: bytearray, codec: "BinaryCodec") -> bool:
+    """Encode an AlonLabel; True iff it took the memoized ALONP path."""
+    packed = _pack_alon(label, codec)
+    if packed is None:
+        _enc2_escape(label, out, codec)
+        return False
+    out += packed
+    return True
+
+
+def _enc2_mwmr(ts: Any, out: bytearray, codec: "BinaryCodec") -> bool:
+    """Encode an MwmrTimestamp; True iff it has a memoized (``_ts_ok``) shape.
+
+    A server's current ts rides in every reply it sends, and inside every
+    old_vals entry after it, so it is memoized by value like labels. The
+    label is packed directly, not through the label memo: in MWMR mode
+    labels travel only inside timestamps, so a label that missed here
+    would only ever be looked up again from here.
+    """
+    label = ts.label
+    writer = ts.writer_id
+    if type(label) is _label_types()[0]:
+        key = (label.sting, label.antistings, writer)
+        try:
+            hit = codec._mwmr_enc.get(key)
+        except TypeError:  # unhashable lookalike fields
+            hit = key = None
+        if hit is not None and (hit[0] is ts or _ts_ok(ts)):
+            out += hit[1]
+            return True
+        if key is not None and (writer is None or type(writer) is str) and _alon_ok(label):
+            head = bytearray((_T_MWMR,))
+            _enc2_alonp(head, label)
+            _enc2(writer, head, codec)
+            raw = bytes(head)
+            out += raw
+            _intern(codec._mwmr_enc, codec._mwmr_dec, key, ts, raw)
+            return True
+    out.append(_T_MWMR)
+    _enc2(label, out, codec)
+    _enc2(writer, out, codec)
+    return False
+
+
+#: Node head of a 2-tuple: an old_vals ``(value, ts)`` entry.
+_PAIR_HEAD = bytes((_T_TUPLE,)) + _U32.pack(2)
+
+
+def _enc2_window(window: Any, out: bytearray, codec: "BinaryCodec") -> None:
+    """Encode a ReadReply's old_vals, memoizing each ``(value, ts)`` entry.
+
+    Consecutive replies repeat most of the window (a write shifts it by
+    one entry), and every honest server's window holds the same entries,
+    so a reply re-encodes only the entries it has not sent before. The
+    memo holds entries of an exact ``str``/``int``/``None`` value and a
+    ``_ts_ok`` timestamp: deeply immutable, and equal ones encode alike.
+    Any other entry takes the plain recursive path.
+    """
+    if type(window) is not tuple:
+        _enc2(window, out, codec)
+        return
+    out.append(_T_TUPLE)
+    out += _U32.pack(len(window))
+    AlonLabel, MwmrTimestamp = _label_types()
+    memo = codec._entry_enc
+    for entry in window:
+        if type(entry) is not tuple or len(entry) != 2:
+            _enc2(entry, out, codec)
+            continue
+        value, ts = entry
+        if value is not None and type(value) is not str and type(value) is not int:
+            _enc2(entry, out, codec)
+            continue
+        t = type(ts)
+        if t is MwmrTimestamp and type(ts.label) is AlonLabel:
+            label = ts.label
+            key = (value, label.sting, label.antistings, ts.writer_id)
+        elif t is AlonLabel:
+            key = (value, ts.sting, ts.antistings)
+        else:
+            _enc2(entry, out, codec)
+            continue
+        try:
+            hit = memo.get(key)
+        except TypeError:  # unhashable lookalike inside the timestamp
+            _enc2(entry, out, codec)
+            continue
+        if hit is not None:
+            # Each server builds its own pair around the shared value and
+            # ts objects, so the cheap proof is usually identity of parts;
+            # the value's exact type is already checked above.
+            stored = hit[0]
+            if (stored[0] is value and stored[1] is ts) or _ts_ok(ts):
+                out += hit[1]
+                continue
+        start = len(out)
+        out += _PAIR_HEAD
+        _enc2(value, out, codec)
+        enc_ts = _enc2_mwmr if t is MwmrTimestamp else _enc2_alon
+        if enc_ts(ts, out, codec):
+            _intern(memo, codec._entry_dec, key, entry, bytes(out[start:]))
 
 
 def _need(buf: bytes, pos: int, n: int) -> None:
@@ -622,7 +835,90 @@ def _dec2_rawstr(buf: bytes, pos: int) -> tuple[str, int]:
         raise WireError(f"undecodable v2 string: {exc}") from None
 
 
-def _dec2(buf: bytes, pos: int) -> tuple[Any, int]:
+def _alonp_end(buf: bytes, pos: int, size: int) -> int:
+    """End of the ALONP node at ``pos``, or -1 if there is none."""
+    if pos + 6 > size or buf[pos] != _T_ALONP:
+        return -1
+    end = pos + 6 + 4 * buf[pos + 5]
+    return end if end <= size else -1
+
+
+def _ts_end(buf: bytes, pos: int, size: int) -> int:
+    """End of the timestamp node at ``pos`` if it has a memoizable shape.
+
+    The shapes are ALONP, and MWMR of ALONP plus a STR or NONE writer:
+    exactly what decodes to a ``_ts_ok`` value. Returns -1 for anything
+    else, including truncation — the caller then runs the full decoder,
+    which raises the same WireError it always did.
+    """
+    if pos >= size or buf[pos] != _T_MWMR:
+        return _alonp_end(buf, pos, size)
+    p = _alonp_end(buf, pos + 1, size)
+    if p < 0 or p >= size:
+        return -1
+    if buf[p] == _T_NONE:
+        return p + 1
+    if buf[p] != _T_STR or p + 5 > size:
+        return -1
+    end = p + 5 + _U32.unpack_from(buf, p + 1)[0]
+    return end if end <= size else -1
+
+
+def _entry_end(buf: bytes, pos: int, size: int) -> int:
+    """End of the old_vals entry node at ``pos`` if it has a memoizable
+    shape — a 2-TUPLE of a STR/I64/NONE value and a ``_ts_end`` timestamp
+    — else -1."""
+    if pos + 6 > size or buf[pos] != _T_TUPLE:
+        return -1
+    if _U32.unpack_from(buf, pos + 1)[0] != 2:
+        return -1
+    p = pos + 5
+    tag = buf[p]
+    if tag == _T_STR:
+        if p + 5 > size:
+            return -1
+        p += 5 + _U32.unpack_from(buf, p + 1)[0]
+    elif tag == _T_I64:
+        p += 9
+    elif tag == _T_NONE:
+        p += 1
+    else:
+        return -1
+    return _ts_end(buf, p, size)
+
+
+def _dec2_window(buf: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    """Decode a ReadReply's old_vals, memoizing each entry by its bytes.
+
+    Only the lookups are new: every entry that misses, and any window
+    that is not a well-formed TUPLE, goes through :func:`_dec2` exactly
+    as before, so malformed input fails the same way.
+    """
+    size = len(buf)
+    if pos + 5 > size or buf[pos] != _T_TUPLE:
+        return _dec2(buf, pos, codec)
+    n = _U32.unpack_from(buf, pos + 1)[0]
+    if n > size - pos - 5:
+        return _dec2(buf, pos, codec)  # raises the container-count error
+    pos += 5
+    memo = codec._entry_dec
+    items = []
+    for _ in range(n):
+        end = _entry_end(buf, pos, size)
+        if end < 0:
+            v, pos = _dec2(buf, pos, codec)
+        else:
+            span = buf[pos:end]
+            v = memo.get(span)
+            if v is None:
+                v, _ = _dec2(buf, pos, codec)
+                memo.put(span, v, end - pos)
+            pos = end
+        items.append(v)
+    return tuple(items), pos
+
+
+def _dec2(buf: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
     # Bounds guards and the string path are inlined: this function runs
     # ~18 times per hot envelope and call overhead dominated the profile.
     size = len(buf)
@@ -667,14 +963,17 @@ def _dec2(buf: bytes, pos: int) -> tuple[Any, int]:
         n, pos = _dec2_count(buf, pos)
         items = []
         for _ in range(n):
-            v, pos = _dec2(buf, pos)
+            v, pos = _dec2(buf, pos, codec)
             items.append(v)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
+        if tag == _T_TUPLE:
+            return tuple(items), pos
+        codec._mutable_decodes += 1
+        return items, pos
     if tag == _T_FSET:
         n, pos = _dec2_count(buf, pos)
         items = []
         for _ in range(n):
-            v, pos = _dec2(buf, pos)
+            v, pos = _dec2(buf, pos, codec)
             items.append(v)
         try:
             return frozenset(items), pos
@@ -688,8 +987,8 @@ def _dec2(buf: bytes, pos: int) -> tuple[Any, int]:
         pos += 5
         _need(buf, pos, 4 * count)
         end = pos + 4 * count
-        span = bytes(buf[start:end])
-        label = _ALON_DEC.get(span)
+        span = buf[start:end]
+        label = codec._alon_dec.get(span)
         if label is None:
             AlonLabel, _ = _label_types()
             label = AlonLabel(
@@ -698,14 +997,23 @@ def _dec2(buf: bytes, pos: int) -> tuple[Any, int]:
                     _U32.unpack_from(buf, pos + 4 * i)[0] for i in range(count)
                 ),
             )
-            if len(_ALON_DEC) < _ALON_CACHE_LIMIT:
-                _ALON_DEC[span] = label
+            codec._alon_dec.put(span, label, end - start)
         return label, end
     if tag == _T_MWMR:
+        start = pos - 1
+        end = _ts_end(buf, start, size)
+        if end > 0:
+            span = buf[start:end]
+            ts = codec._mwmr_dec.get(span)
+            if ts is not None:
+                return ts, end
         _, MwmrTimestamp = _label_types()
-        label, pos = _dec2(buf, pos)
-        writer, pos = _dec2(buf, pos)
-        return MwmrTimestamp(label=label, writer_id=writer), pos
+        label, pos = _dec2(buf, pos, codec)
+        writer, pos = _dec2(buf, pos, codec)
+        ts = MwmrTimestamp(label=label, writer_id=writer)
+        if end > 0:
+            codec._mwmr_dec.put(span, ts, end - start)
+        return ts, pos
     if tag == _T_MSG:
         _need(buf, pos, 2)
         idx = buf[pos]
@@ -714,19 +1022,21 @@ def _dec2(buf: bytes, pos: int) -> tuple[Any, int]:
         if idx >= len(_MESSAGE_ORDER):
             raise WireError(f"unknown message type index {idx}")
         cls = _MESSAGE_ORDER[idx]
-        fields = _MESSAGE_FIELDS[cls]
-        if nvals < len(fields):
+        coders = _FIELD_CODERS[cls]
+        if nvals < len(coders):
             raise WireError(
                 f"message {cls.__name__} missing fields: carries {nvals} of "
-                f"{len(fields)}"
+                f"{len(coders)}"
             )
         vals = []
-        for _ in range(nvals):
-            v, pos = _dec2(buf, pos)
+        for _, _, dec in coders:
+            v, pos = dec(buf, pos, codec)
             vals.append(v)
         # Extra positional values from a newer minor revision are dropped,
         # mirroring v1's ignore-unknown-keys rule.
-        return cls(*vals[: len(fields)]), pos
+        for _ in range(nvals - len(coders)):
+            _, pos = _dec2(buf, pos, codec)
+        return cls(*vals), pos
     if tag == _T_JSONESC:
         n, pos = _dec2_len(buf, pos)
         _need(buf, pos, n)
@@ -734,8 +1044,23 @@ def _dec2(buf: bytes, pos: int) -> tuple[Any, int]:
             node = json.loads(bytes(buf[pos : pos + n]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireError(f"unparseable v2 escape blob: {exc}") from None
+        codec._mutable_decodes += 1  # lookalikes may hold lists
         return decode_value(node), pos + n
     raise WireError(f"unknown v2 wire tag 0x{tag:02x}")
+
+
+#: Per message class, its fields as ``(name, encoder, decoder)``: ReadReply's
+#: old_vals window goes through the entry memos, every other field through
+#: the plain recursive codec.
+_FIELD_CODERS: dict[type, tuple] = {
+    cls: tuple(
+        (f.name, _enc2_window, _dec2_window)
+        if cls is protocol_messages.ReadReply and f.name == "old_vals"
+        else (f.name, _enc2, _dec2)
+        for f in fields
+    )
+    for cls, fields in _MESSAGE_FIELDS.items()
+}
 
 
 def _encode_body2(payload: bytes) -> bytes:
@@ -746,6 +1071,8 @@ def _encode_body2(payload: bytes) -> bytes:
 
 
 def _check_body2(frame: bytes) -> bytes:
+    if type(frame) is not bytes:
+        frame = bytes(frame)  # memo keys are slices of the body
     if len(frame) < 3 or frame[:2] != _MAGIC:
         raise WireError("bad frame magic")
     if frame[2] != WIRE_VERSION_V2:
@@ -756,10 +1083,10 @@ def _check_body2(frame: bytes) -> bytes:
     return frame
 
 
-def _guard_dec2(body: bytes, pos: int) -> tuple[Any, int]:
+def _guard_dec2(body: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
     """Run :func:`_dec2` with every parse failure folded into WireError."""
     try:
-        return _dec2(body, pos)
+        return _dec2(body, pos, codec)
     except WireError:
         raise
     except (struct.error, ValueError, TypeError, OverflowError, IndexError) as exc:
@@ -780,34 +1107,40 @@ class BinaryCodec:
 
     pack_frame = staticmethod(pack_frame)
 
-    #: Decode-side payload memo cap; cleared wholesale when full (payload
-    #: spans churn with every new timestamp, so LRU bookkeeping would
-    #: cost more than the occasional cold refill).
-    _PAYLOAD_CACHE_LIMIT = 4096
-
     def __init__(self) -> None:
         self.esc_encodes = 0
-        self._alon_enc: dict[Any, bytes] = {}
+        # Value-keyed encode memos (labels, timestamps, old_vals entries)
+        # and their exact-bytes decode twins; see MEMO_BUDGETS.
+        memos = {name: BoundedMemo(*budget) for name, budget in MEMO_BUDGETS.items()}
+        self.memos = memos
+        self._alon_enc = memos["alon_enc"]
+        self._alon_dec = memos["alon_dec"]
+        self._mwmr_enc = memos["mwmr_enc"]
+        self._mwmr_dec = memos["mwmr_dec"]
+        self._entry_enc = memos["entry_enc"]
+        self._entry_dec = memos["entry_dec"]
+        # (src, dst) -> encoded envelope header, and its decode twin keyed
+        # on the raw header bytes. The v2 encoding is length-prefixed,
+        # hence prefix-free: the two length words locate the header's end
+        # in O(1), and equal header bytes parse to equal strings.
+        self._env_prefix = memos["env_prefix"]
+        self._dec_prefix = memos["dec_prefix"]
         # Broadcast amortization: a protocol step sends one payload object
         # to many destinations (and, loopback, many hosts decode identical
-        # payload bytes). Both memos are restricted to registered message
-        # dataclasses — frozen, so sharing one decoded object between
-        # receivers is safe, and identity-keying the encoder is sound.
-        # Sentinel, not None: a literal None payload must never match an
-        # empty memo (the differential suite caught exactly that).
+        # payload bytes). The encoder keeps the last message object by
+        # identity (a strong ref, so the identity stays valid); the decoder
+        # shares decoded messages between receivers, but only those whose
+        # decode built no list and took no escape hatch — frozen all the
+        # way down. Sentinel, not None: a literal None payload must never
+        # match an empty memo (the differential suite caught exactly that).
         self._enc_payload_obj: Any = _MEMO_UNSET
         self._enc_payload_bytes: bytes = b""
-        self._dec_payloads: dict[bytes, Any] = {}
-        self._mwmr_enc: dict[int, tuple[Any, bytes]] = {}
-        self._env_prefix: dict[tuple[str, str], bytes] = {}
-        # Decode twin of _env_prefix: raw (src, dst) header bytes -> the
-        # parsed pair and its end offset. The v2 encoding is length-
-        # prefixed, hence prefix-free: if the first L bytes of a body
-        # equal a cached L-byte key, the full parse is already determined
-        # byte-for-byte, so replaying the cached result is exact. A
-        # cluster has ~n*m (src, dst) pairs — a handful of key lengths.
-        self._dec_prefix: dict[bytes, tuple[str, str, int]] = {}
-        self._dec_prefix_lens: list[int] = []
+        self._dec_payloads = memos["dec_payloads"]
+        self._mutable_decodes = 0
+
+    def memo_stats(self) -> dict[str, dict[str, int]]:
+        """Size, budget and hit/miss/eviction counters of every memo."""
+        return {name: memo.stats() for name, memo in self.memos.items()}
 
     def encode_frame(self, value: Any) -> bytes:
         out = bytearray()
@@ -816,7 +1149,7 @@ class BinaryCodec:
 
     def decode_frame(self, frame: bytes) -> Any:
         body = _check_body2(frame)
-        value, end = _guard_dec2(body, 3)
+        value, end = _guard_dec2(body, 3, self)
         if end != len(body):
             raise WireError(f"{len(body) - end} trailing bytes after v2 value")
         return value
@@ -850,8 +1183,7 @@ class BinaryCodec:
             _enc2_rawstr(head, src)
             _enc2_rawstr(head, dst)
             prefix = bytes(head)
-            if len(self._env_prefix) < self._PAYLOAD_CACHE_LIMIT:
-                self._env_prefix[key] = prefix
+            self._env_prefix.put(key, prefix, len(prefix))
         out += prefix
         out += _F64.pack(send_time)
         if payload is self._enc_payload_obj:
@@ -875,15 +1207,22 @@ class BinaryCodec:
         is memoized on its raw byte prefix.
         """
         body = _check_body2(frame)
-        if len(body) < 4 or body[3] != _T_ENV:
+        size = len(body)
+        if size < 4 or body[3] != _T_ENV:
             raise WireError("expected an envelope frame")
-        src = None
-        for ln in self._dec_prefix_lens:
-            hit = self._dec_prefix.get(body[4 : 4 + ln])
-            if hit is not None:
-                src, dst, pos = hit
-                break
-        if src is None:
+        # Header = src STR body + dst STR body; its two length words give
+        # its end, so one slice and one lookup cover any header.
+        key = hit = None
+        if size >= 8:
+            pos = 12 + _U32.unpack_from(body, 4)[0]
+            if pos <= size:
+                pos += _U32.unpack_from(body, pos - 4)[0]
+                if pos <= size:
+                    key = body[4:pos]
+                    hit = self._dec_prefix.get(key)
+        if hit is not None:
+            src, dst = hit
+        else:
             try:
                 src, pos = _dec2_rawstr(body, 4)
                 dst, pos = _dec2_rawstr(body, pos)
@@ -891,25 +1230,21 @@ class BinaryCodec:
                 raise
             except struct.error as exc:
                 raise WireError(f"malformed v2 envelope: {exc}") from None
-            if len(self._dec_prefix) < self._PAYLOAD_CACHE_LIMIT:
-                self._dec_prefix[bytes(body[4:pos])] = (src, dst, pos)
-                if pos - 4 not in self._dec_prefix_lens:
-                    self._dec_prefix_lens.append(pos - 4)
+            # Both strings parsed, so both length words were in bounds
+            # and ``key`` is this header.
+            self._dec_prefix.put(key, (src, dst), pos - 4)
         _need(body, pos, 8)
         send_time = _F64.unpack_from(body, pos)[0]
         pos += 8
-        span = bytes(body[pos:])
+        span = body[pos:]
         payload = self._dec_payloads.get(span)
         if payload is None:
-            payload, end = _guard_dec2(body, pos)
-            if end != len(body):
-                raise WireError(
-                    f"{len(body) - end} trailing bytes after v2 envelope"
-                )
-            if type(payload) in _MESSAGE_INDEX:
-                if len(self._dec_payloads) >= self._PAYLOAD_CACHE_LIMIT:
-                    self._dec_payloads.clear()
-                self._dec_payloads[span] = payload
+            mutable = self._mutable_decodes
+            payload, end = _guard_dec2(body, pos, self)
+            if end != size:
+                raise WireError(f"{size - end} trailing bytes after v2 envelope")
+            if type(payload) in _MESSAGE_INDEX and self._mutable_decodes == mutable:
+                self._dec_payloads.put(span, payload, size - pos)
         return src, dst, send_time, payload
 
     def decode_envelope(self, frame: bytes) -> Envelope:
