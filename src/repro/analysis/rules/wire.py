@@ -17,7 +17,8 @@ statically, from the phase-1 wire-schema table:
   test_wire*.py``); a registered-but-unfuzzed message type is exactly
   where v1/v2 divergence hides.
 * **WIRE003** — classes in the live hosting layer (``daemon.py``,
-  ``bridge.py``, ``cluster.py``) must declare their state in
+  ``bridge.py``, ``group.py``, ``cluster.py`` and the fabric's hosting
+  modules) must declare their state in
   ``CORRUPTION_REGISTRY``, extending STAB001's completeness argument
   past the sim boundary: the stabilization story needs to say, for every
   attribute a live host carries, whether the fault model reaches it or
@@ -36,6 +37,7 @@ HOSTING_LAYER_FILES = (
     "repro/net/daemon.py",
     "repro/net/bridge.py",
     "repro/net/cluster.py",
+    "repro/net/group.py",
     "repro/fabric/ring.py",
     "repro/fabric/topology.py",
     "repro/fabric/host.py",

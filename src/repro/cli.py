@@ -51,7 +51,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 def _cmd_experiments(_: argparse.Namespace) -> int:
@@ -531,10 +531,44 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
+def _zoo_strategy(name: str) -> Any:
+    """The zoo strategy class ``name``; None, said on stderr, if unknown."""
+    from repro.byzantine.strategies import STRATEGY_ZOO
+
+    cls = STRATEGY_ZOO.get(name)
+    if cls is None:
+        print(
+            f"unknown strategy {name!r}; known: {sorted(STRATEGY_ZOO)}",
+            file=sys.stderr,
+        )
+    return cls
+
+
+def _event_loop(policy: str) -> Optional[str]:
+    """Install the ``--loop`` policy; None, said on stderr, if unavailable."""
+    from repro.net import install_event_loop
+
+    try:
+        return install_event_loop(policy)
+    except ImportError:
+        print(
+            "uvloop requested but not installed (pip install 'repro[perf]')",
+            file=sys.stderr,
+        )
+        return None
+
+
+def _below_floor(ops_per_s: float, floor: Optional[float]) -> bool:
+    """Whether a ``--min-ops-per-s`` floor is missed (said on stderr)."""
+    if floor and ops_per_s < floor:
+        print(f"throughput {ops_per_s:.1f} ops/s below floor {floor}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.byzantine.strategies import STRATEGY_ZOO
     from repro.core.config import SystemConfig
     from repro.net import ServerDaemon
 
@@ -548,15 +582,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     factory = None
     if args.byzantine:
-        cls = STRATEGY_ZOO.get(args.byzantine)
-        if cls is None:
-            print(
-                f"unknown strategy {args.byzantine!r}; "
-                f"known: {sorted(STRATEGY_ZOO)}",
-                file=sys.stderr,
-            )
+        factory = _zoo_strategy(args.byzantine)
+        if factory is None:
             return 2
-        factory = cls
 
     async def serve() -> None:
         daemon = ServerDaemon(
@@ -590,15 +618,8 @@ DEFAULT_SWEEP_RATES = (250.0, 500.0, 1000.0, 2000.0, 4000.0)
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.byzantine.strategies import STRATEGY_ZOO
     from repro.core.config import SystemConfig
-    from repro.net import (
-        FaultPolicy,
-        LiveRegisterCluster,
-        benchmark,
-        install_event_loop,
-        saturation_sweep,
-    )
+    from repro.net import FaultPolicy, LiveRegisterCluster, benchmark, saturation_sweep
 
     config = SystemConfig(n=args.n, f=args.f)
     if args.open_loop and args.rate is None and not args.sweep:
@@ -621,13 +642,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     byzantine = None
     if args.byzantine:
-        cls = STRATEGY_ZOO.get(args.byzantine)
+        cls = _zoo_strategy(args.byzantine)
         if cls is None:
-            print(
-                f"unknown strategy {args.byzantine!r}; "
-                f"known: {sorted(STRATEGY_ZOO)}",
-                file=sys.stderr,
-            )
             return 2
         sid = args.byzantine_server or config.server_ids[-1]
         byzantine = {sid: cls}
@@ -700,13 +716,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 sweep=sweep,
             )
 
-    try:
-        runtime = install_event_loop(args.loop)
-    except ImportError:
-        print(
-            "uvloop requested but not installed (pip install 'repro[perf]')",
-            file=sys.stderr,
-        )
+    runtime = _event_loop(args.loop)
+    if runtime is None:
         return 2
     bench = asyncio.run(run())
     bench["runtime"] = runtime
@@ -754,14 +765,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"  benchmark written to {args.out}")
     if not verdict["clean"]:
         return 1
-    if args.min_ops_per_s and load["ops_per_s"] < args.min_ops_per_s:
-        print(
-            f"throughput {load['ops_per_s']:.1f} ops/s below floor "
-            f"{args.min_ops_per_s}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if _below_floor(load["ops_per_s"], args.min_ops_per_s) else 0
 
 
 def _shard_ladder(shards: int) -> list[int]:
@@ -786,15 +790,9 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         fabric_scaleout,
         run_targeted_chaos,
     )
-    from repro.net import install_event_loop
 
-    try:
-        runtime = install_event_loop(args.loop)
-    except ImportError:
-        print(
-            "uvloop requested but not installed (pip install 'repro[perf]')",
-            file=sys.stderr,
-        )
+    runtime = _event_loop(args.loop)
+    if runtime is None:
         return 2
     mode = "inline" if args.inline else "process"
 
@@ -942,12 +940,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         if not point["all_clean"]:
             exit_code = 1
     top = artifact["points"][-1]["aggregate"]
-    if args.min_ops_per_s and top["ops_per_s"] < args.min_ops_per_s:
-        print(
-            f"throughput {top['ops_per_s']:.1f} ops/s below floor "
-            f"{args.min_ops_per_s}",
-            file=sys.stderr,
-        )
+    if _below_floor(top["ops_per_s"], args.min_ops_per_s):
         exit_code = 1
     if args.out:
         _write_json(args.out, artifact)

@@ -72,8 +72,9 @@ def adopt_snapshot(
     state it booted with, which the stabilization story already covers.
 
     Shared by the simulator's peer-to-peer handshake
-    (:meth:`RegisterServer._finalize_join`) and the live cluster's
-    mediated transfer (:meth:`~repro.net.cluster.LiveRegisterCluster.respawn_server`).
+    (:meth:`RegisterServer._finalize_join`) and the live server group's
+    mediated transfer (:meth:`~repro.net.group.ServerGroup.respawn`), which
+    both the live cluster and every fabric shard host.
     """
     votes: dict[tuple[Any, Any], int] = {}
     for peer in sorted(replies):

@@ -9,11 +9,10 @@ one of them. This package is that layer:
   (crc32, never builtin ``hash()``), key -> shard id;
 * :mod:`~repro.fabric.topology` — the serializable fabric layout
   (``repro-fabric-topology/1``): shards, ``n/f``, server addresses;
-* :mod:`~repro.fabric.host` — one shard's register group
-  (:class:`~repro.net.daemon.ServerDaemon` s + optional
-  :class:`~repro.net.proxy.FaultProxy` chain) in its own event loop,
-  plus the OS-process entry point driven over a ``multiprocessing``
-  pipe;
+* :mod:`~repro.fabric.host` — hosts one shard's
+  :class:`~repro.net.group.ServerGroup` (the live cluster's server
+  group) inline or in its own OS process, driven over a
+  ``multiprocessing`` pipe;
 * :mod:`~repro.fabric.supervisor` — lifecycle owner: spawns one host
   per shard (separate OS processes by default), relays control-plane
   commands (kill/heal/corrupt/retire/respawn), tears down;
@@ -36,7 +35,7 @@ the blast-radius contract.
 
 from repro.fabric.chaos import ShardNemesis, run_targeted_chaos
 from repro.fabric.client import FabricClient
-from repro.fabric.host import InlineShardHost, ProcessShardHost, ShardServerGroup
+from repro.fabric.host import InlineShardHost, ProcessShardHost
 from repro.fabric.kv import FabricKV
 from repro.fabric.loadgen import (
     FABRIC_BENCH_FORMAT,
@@ -63,7 +62,6 @@ __all__ = [
     "KeyPicker",
     "ProcessShardHost",
     "ShardNemesis",
-    "ShardServerGroup",
     "ShardSpec",
     "TOPOLOGY_FORMAT",
     "fabric_benchmark",

@@ -13,10 +13,11 @@ to healthy shards never queues behind it.
 
 Judging is unchanged from the single-group tier: each shard's history
 goes to the same sweep :class:`~repro.spec.regularity.RegularityChecker`
-a :class:`~repro.net.cluster.LiveRegisterCluster` (or the sim) uses,
-with the scheme rebuilt from that shard's config — schemes are
-parameterized only by ``k``, so client and shard host agree without
-sharing objects.
+a :class:`~repro.net.cluster.LiveRegisterCluster` (or the sim) uses.
+The scheme is rebuilt from the shard's config with the same
+:func:`~repro.net.daemon.default_scheme` the shard's
+:class:`~repro.net.group.ServerGroup` boots its daemons with, so client
+and shard host agree without sharing objects.
 """
 
 from __future__ import annotations
@@ -76,25 +77,32 @@ class FabricClient:
     # -- lifecycle -------------------------------------------------------
     async def connect(self) -> None:
         """Dial every shard's servers from every worker endpoint."""
-        for spec in self.topology.specs:
-            shard_id = spec.shard_id
+        for shard_id in self.topology.shard_ids:
             for i in range(self.clients_per_shard):
-                endpoint = ClientEndpoint(
-                    f"{shard_id}.c{i}",
-                    spec.config(),
-                    self.topology.addresses[shard_id],
-                    history=self.histories[shard_id],
-                    clock=self.clock,
-                    scheme=self.schemes[shard_id],
-                    seed=derive_seed(self.seed, f"fabric:{shard_id}.c{i}"),
-                    op_timeout=self.op_timeout,
-                    wire=spec.wire,
-                    flush_watermark=spec.flush_watermark,
+                cid = f"{shard_id}.c{i}"
+                self.endpoints[(shard_id, i)] = await self.dial(
+                    shard_id, cid, seed=derive_seed(self.seed, f"fabric:{cid}")
                 )
-                await endpoint.connect()
-                self.endpoints[(shard_id, i)] = endpoint
         self.clock.start()  # history time zero = "fabric fully dialed"
         self.started = True
+
+    async def dial(self, shard_id: str, cid: str, seed: int) -> ClientEndpoint:
+        """A connected endpoint ``cid`` recording into the shard's history."""
+        spec = self.topology.spec(shard_id)
+        endpoint = ClientEndpoint(
+            cid,
+            spec.config(),
+            self.topology.addresses[shard_id],
+            history=self.histories[shard_id],
+            clock=self.clock,
+            scheme=self.schemes[shard_id],
+            seed=seed,
+            op_timeout=self.op_timeout,
+            wire=spec.wire,
+            flush_watermark=spec.flush_watermark,
+        )
+        await endpoint.connect()
+        return endpoint
 
     async def close(self) -> None:
         endpoints, self.endpoints = dict(self.endpoints), {}

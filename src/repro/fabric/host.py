@@ -1,13 +1,13 @@
 """One shard's register group, inline or in its own OS process.
 
-:class:`ShardServerGroup` boots the shard's ``n``
-:class:`~repro.net.daemon.ServerDaemon` s (Byzantine zoo substitutions
-per the spec, at most ``f``), optionally fronts each with an
-identity-policy :class:`~repro.net.proxy.FaultProxy` (the handle the
-partition nemesis severs), and carries the control-plane verbs the
-supervisor relays: kill/heal, corruption waves, retire/respawn with the
-PR 8 state-transfer poll (:func:`~repro.net.cluster.poll_state_snapshots`
-+ :func:`~repro.core.server.adopt_snapshot`).
+A shard is one :class:`~repro.net.group.ServerGroup` — the same group a
+:class:`~repro.net.cluster.LiveRegisterCluster` hosts — built from the
+shard's :class:`~repro.fabric.topology.ShardSpec` by :func:`shard_group`
+(a ``proxied`` spec fronts every server with an identity-policy
+:class:`~repro.net.proxy.FaultProxy`, the handle the partition nemesis
+severs). This module only hosts that group and relays the supervisor's
+control verbs to it (:func:`_dispatch`): kill/heal, corruption waves,
+retire/respawn with state transfer, stats.
 
 Two hostings of the same group:
 
@@ -33,26 +33,21 @@ only — exactly the split a real deployment has.
 from __future__ import annotations
 
 import asyncio
-import random
+import inspect
 from typing import Any, Optional
 
-from repro.core.server import adopt_snapshot
 from repro.errors import ConfigurationError, ReproError
 from repro.fabric.topology import ShardSpec
-from repro.net.bridge import LiveClock
-from repro.net.cluster import poll_state_snapshots
-from repro.net.daemon import ServerDaemon, default_scheme
-from repro.net.proxy import FaultPolicy, FaultProxy
-from repro.sim.environment import derive_seed
-from repro.sim.tracing import MessageStats
+from repro.net.daemon import default_scheme
+from repro.net.group import ServerGroup, stats_to_dict
+from repro.net.proxy import FaultPolicy
 
 __all__ = [
     "InlineShardHost",
     "ProcessShardHost",
     "ShardHostError",
-    "ShardServerGroup",
+    "shard_group",
     "shard_host_main",
-    "stats_to_dict",
 ]
 
 
@@ -60,236 +55,38 @@ class ShardHostError(ReproError):
     """A shard host failed to boot, answer, or shut down."""
 
 
-def stats_to_dict(stats: MessageStats) -> dict[str, int]:
-    """Collapse message accounting to picklable totals (pipe-safe)."""
-    return {
-        "sent": stats.total_sent,
-        "delivered": stats.total_delivered,
-        "dropped": stats.dropped,
-        "corrupted": stats.corrupted,
-    }
+def shard_group(spec: ShardSpec) -> ServerGroup:
+    """The shard's server group, built from its spec's plain values."""
+    config = spec.config()
+    return ServerGroup(
+        config,
+        default_scheme(config),
+        seed=spec.seed,
+        byzantine=spec.factories(),
+        family=spec.family,
+        socket_dir=spec.socket_dir,
+        # identity policy: a severable handle, no faults
+        proxy_policy=FaultPolicy() if spec.proxied else None,
+        wire=spec.wire,
+        flush_watermark=spec.flush_watermark,
+        name=spec.shard_id,
+    )
 
 
-class ShardServerGroup:
-    """Daemons + optional fault proxies for one shard, one event loop.
-
-    The server-side half of what :class:`~repro.net.cluster.
-    LiveRegisterCluster` does, minus clients and history — those live
-    with whoever dials in. ``start`` returns the addresses clients
-    should dial (proxy fronts when the spec says ``proxied``).
-    """
-
-    def __init__(self, spec: ShardSpec, clock: Optional[LiveClock] = None) -> None:
-        self.spec = spec
-        self.config = spec.config()
-        self.scheme = default_scheme(self.config)
-        self.clock = clock if clock is not None else LiveClock()
-        self.byzantine_ids = {sid for sid, _ in spec.byzantine}
-        self._factories = spec.factories()
-        self.daemons: dict[str, ServerDaemon] = {}
-        self.proxies: dict[str, FaultProxy] = {}
-        self.addresses: dict[str, str] = {}  # as dialed by clients
-        self.departed: set[str] = set()
-        self._generations: dict[str, int] = {}
-        self.started = False
-
-    # -- lifecycle -------------------------------------------------------
-    def _listen(self, name: str) -> str:
-        if self.spec.family == "unix":
-            return f"unix:{self.spec.socket_dir}/{self.spec.shard_id}-{name}.sock"
-        return "tcp:127.0.0.1:0"
-
-    async def _boot_daemon(self, sid: str, seed_tag: str) -> ServerDaemon:
-        daemon = ServerDaemon(
-            sid,
-            self.config,
-            address=self._listen(seed_tag),
-            factory=self._factories.get(sid),
-            scheme=self.scheme,
-            seed=derive_seed(self.spec.seed, seed_tag),
-            clock=self.clock,
-            wire=self.spec.wire,
-            flush_watermark=self.spec.flush_watermark,
-        )
-        await daemon.start()
-        return daemon
-
-    async def _boot_proxy(self, sid: str, upstream: str, tag: str) -> FaultProxy:
-        proxy = FaultProxy(
-            upstream=upstream,
-            listen=self._listen(tag),
-            policy=FaultPolicy(),  # identity: a severable handle, no faults
-            seed=derive_seed(self.spec.seed, tag),
-        )
-        await proxy.start()
-        return proxy
-
-    async def start(self) -> dict[str, str]:
-        """Boot every daemon (and proxy front); returns dial addresses."""
-        for sid in self.config.server_ids:
-            daemon = await self._boot_daemon(sid, seed_tag=sid)
-            self.daemons[sid] = daemon
-            self.addresses[sid] = daemon.address
-        if self.spec.proxied:
-            for sid in self.config.server_ids:
-                proxy = await self._boot_proxy(
-                    sid, self.addresses[sid], tag=f"proxy-{sid}"
-                )
-                self.proxies[sid] = proxy
-                self.addresses[sid] = proxy.address
-        self.clock.start()
-        self.started = True
-        return dict(self.addresses)
-
-    async def stop(self) -> None:
-        # Take ownership before the first await: a concurrent command
-        # arriving mid-teardown must see empty maps, not half-closed hosts.
-        proxies, self.proxies = dict(self.proxies), {}
-        daemons, self.daemons = dict(self.daemons), {}
-        self.started = False
-        for proxy in proxies.values():
-            await proxy.stop()
-        for daemon in daemons.values():
-            await daemon.stop()
-
-    # -- control-plane verbs ---------------------------------------------
-    def _proxy(self, sid: str) -> FaultProxy:
-        proxy = self.proxies.get(sid)
-        if proxy is None:
-            raise ConfigurationError(
-                f"{self.spec.shard_id}/{sid}: kill/heal need proxied=True "
-                f"(no fault proxy fronts this server)"
-            )
-        return proxy
-
-    async def kill(self, sid: str) -> None:
-        """Sever + refuse at the proxy; the daemon itself keeps running."""
-        await self._proxy(sid).kill()
-
-    def heal(self, sid: str) -> None:
-        self._proxy(sid).heal()
-
-    async def kill_all(self) -> None:
-        """Partition the whole shard off (every proxy severed)."""
-        for sid in sorted(self.proxies):
-            await self.proxies[sid].kill()
-
-    def heal_all(self) -> None:
-        for sid in sorted(self.proxies):
-            self.proxies[sid].heal()
-
-    def corrupt(self, wave_seed: int) -> list[str]:
-        """Scramble every correct, live server's hosted process state.
-
-        The live-tier analogue of :func:`~repro.sim.faults.
-        scramble_processes`: each hosted process's own ``corrupt_state``
-        runs against a stream derived from ``wave_seed``. Byzantine
-        servers are skipped — their behaviour is already arbitrary.
-        Returns the server ids touched.
-        """
-        rng = random.Random(
-            derive_seed(wave_seed, f"corrupt:{self.spec.shard_id}")
-        )
-        touched = []
-        for sid, daemon in sorted(self.daemons.items()):
-            if sid in self.byzantine_ids or sid in self.departed:
-                continue
-            daemon.process.corrupt_state(rng)
-            touched.append(sid)
-        return touched
-
-    async def retire(self, sid: str) -> None:
-        """Stop one server for real (socket closed, process gone)."""
-        if sid not in self.daemons:
-            raise ConfigurationError(f"unknown server id: {sid!r}")
-        if sid in self.departed:
-            raise ConfigurationError(f"server {sid!r} is already retired")
-        self.departed.add(sid)
-        proxy = self.proxies.pop(sid, None)
-        if proxy is not None:
-            await proxy.stop()
-        await self.daemons[sid].stop()
-
-    async def respawn(self, sid: str, transfer: bool = True) -> str:
-        """Fresh daemon in the retired slot; PR 8 state transfer applies.
-
-        The replacement polls each live peer over the wire with a
-        one-shot StateRequest and adopts the ``(value, ts)`` snapshot
-        ``f+1`` of them vouch for — the same machinery
-        :meth:`LiveRegisterCluster.respawn_server` uses. Returns the new
-        dial address (callers must redial their endpoints).
-        """
-        if sid not in self.departed:
-            raise ConfigurationError(f"server {sid!r} is not retired")
-        gen = self._generations.get(sid, 0) + 1
-        self._generations[sid] = gen
-        daemon = await self._boot_daemon(sid, seed_tag=f"respawn:{sid}:{gen}")
-        self.daemons[sid] = daemon
-        address = daemon.address
-        if transfer and sid not in self.byzantine_ids:
-            peers = {
-                peer: peer_daemon.address
-                for peer, peer_daemon in self.daemons.items()
-                if peer != sid and peer not in self.departed
-            }
-            replies = await poll_state_snapshots(
-                peers,
-                probe=f"join:{self.spec.shard_id}:{sid}:{gen}",
-                nonce=gen,
-                wire=self.spec.wire,
-            )
-            winner = adopt_snapshot(replies, self.scheme, self.config.f)
-            if winner is not None:
-                # Unconditional adoption, as in the cluster respawn: no
-                # client learns the new address before this returns, so
-                # the fresh boot label is arbitrary, not protected state.
-                process = daemon.process
-                process.value, process.ts = winner
-                process.old_vals = []
-        if self.spec.proxied:
-            proxy = await self._boot_proxy(
-                sid, address, tag=f"proxy-{sid}-g{gen}"
-            )
-            self.proxies[sid] = proxy
-            address = proxy.address
-        self.addresses[sid] = address
-        self.departed.discard(sid)
-        return address
-
-    def stats(self) -> dict[str, int]:
-        """Server-side message totals, pipe-safe."""
-        merged = MessageStats()
-        for daemon in self.daemons.values():
-            merged = merged.merged_with(daemon.stats)
-        return stats_to_dict(merged)
+#: The group verbs the control plane relays, by pipe op name.
+_VERBS = ("kill", "heal", "kill_all", "heal_all", "corrupt", "retire", "respawn")
 
 
-async def _dispatch(group: ShardServerGroup, op: str, args: tuple) -> Any:
+async def _dispatch(group: ServerGroup, op: str, args: tuple) -> Any:
     """Run one control verb against the group; returns a picklable result."""
     if op == "ping":
         return "pong"
-    if op == "kill":
-        await group.kill(*args)
-        return None
-    if op == "heal":
-        group.heal(*args)
-        return None
-    if op == "kill_all":
-        await group.kill_all()
-        return None
-    if op == "heal_all":
-        group.heal_all()
-        return None
-    if op == "corrupt":
-        return group.corrupt(*args)
-    if op == "retire":
-        await group.retire(*args)
-        return None
-    if op == "respawn":
-        return await group.respawn(*args)
     if op == "stats":
-        return group.stats()
-    raise ConfigurationError(f"unknown shard-host op {op!r}")
+        return stats_to_dict(group.stats())
+    if op not in _VERBS:
+        raise ConfigurationError(f"unknown shard-host op {op!r}")
+    result = getattr(group, op)(*args)
+    return await result if inspect.isawaitable(result) else result
 
 
 def shard_host_main(spec_dict: dict, conn: Any) -> None:
@@ -308,7 +105,7 @@ def shard_host_main(spec_dict: dict, conn: Any) -> None:
 
 
 async def _shard_host_loop(spec: ShardSpec, conn: Any) -> None:
-    group = ShardServerGroup(spec)
+    group = shard_group(spec)
     loop = asyncio.get_running_loop()
     inbox: asyncio.Queue = asyncio.Queue()
 
@@ -363,7 +160,7 @@ class InlineShardHost:
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        self.group = ShardServerGroup(spec)
+        self.group = shard_group(spec)
 
     async def start(self) -> dict[str, str]:
         return await self.group.start()
@@ -395,10 +192,13 @@ class ProcessShardHost:
         self._conn: Optional[Any] = None
         self._lock: Optional[asyncio.Lock] = None  # created in-loop (lazily)
 
-    async def _recv(self) -> tuple[str, Any]:
-        conn = self._conn
-        if conn is None:
+    def _running(self) -> Any:
+        if self._conn is None:
             raise ShardHostError(f"{self.spec.shard_id}: host is not running")
+        return self._conn
+
+    async def _recv(self) -> tuple[str, Any]:
+        conn = self._running()
         loop = asyncio.get_running_loop()
         try:
             message = await asyncio.wait_for(
@@ -439,12 +239,7 @@ class ProcessShardHost:
         if self._lock is None:
             self._lock = asyncio.Lock()
         async with self._lock:
-            conn = self._conn
-            if conn is None:
-                raise ShardHostError(
-                    f"{self.spec.shard_id}: host is not running"
-                )
-            conn.send((op, *args))
+            self._running().send((op, *args))
             kind, payload = await self._recv()
         if kind == "error":
             raise ShardHostError(f"{self.spec.shard_id}: {payload}")

@@ -236,20 +236,20 @@ class _LiveShardBackend:
         return self.fabric._call(self._op(cid, "read"))
 
     @property
-    def history(self):
+    def _client(self) -> FabricClient:
         client = self.fabric.fabric_client
-        assert client is not None
-        return client.histories[self.shard_id]
+        assert client is not None, "FabricKV is not started"
+        return client
+
+    @property
+    def history(self):
+        return self._client.histories[self.shard_id]
 
     def checker(self, **overrides: Any) -> RegularityChecker:
-        client = self.fabric.fabric_client
-        assert client is not None
-        return client.checker(self.shard_id, **overrides)
+        return self._client.checker(self.shard_id, **overrides)
 
     def check_regularity(self, **overrides: Any) -> RegularityVerdict:
-        client = self.fabric.fabric_client
-        assert client is not None
-        return client.check_shard(self.shard_id, **overrides)
+        return self._client.check_shard(self.shard_id, **overrides)
 
     # -- store-wide fault hooks (strike) --------------------------------
     def corrupt_servers(self) -> None:
@@ -270,21 +270,9 @@ class _LiveShardBackend:
     async def _endpoint(self, cid: str) -> ClientEndpoint:
         endpoint = self._endpoints.get(cid)
         if endpoint is None:
-            spec = self.fabric.topology.spec(self.shard_id)
-            fabric_client = self.fabric.fabric_client
-            endpoint = ClientEndpoint(
-                cid,
-                spec.config(),
-                self.fabric.topology.addresses[self.shard_id],
-                history=fabric_client.histories[self.shard_id],
-                clock=fabric_client.clock,
-                scheme=fabric_client.schemes[self.shard_id],
-                seed=derive_seed(self.fabric.seed, f"kv:{cid}"),
-                op_timeout=self.fabric.op_timeout,
-                wire=spec.wire,
-                flush_watermark=spec.flush_watermark,
+            endpoint = await self._client.dial(
+                self.shard_id, cid, seed=derive_seed(self.fabric.seed, f"kv:{cid}")
             )
-            await endpoint.connect()
             self._endpoints[cid] = endpoint
         return endpoint
 

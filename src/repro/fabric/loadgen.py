@@ -7,9 +7,9 @@ round-robin to one of that shard's worker endpoints. The whole schedule
 is precomputed before the run — fully deterministic given the seed —
 and each worker then serves *its own* arrivals in order. Workers never
 cross shards, so a stalled shard (partition nemesis) delays only its
-own arrivals; healthy shards' queues are untouched. Latency is measured
-from the scheduled arrival, queueing included, exactly as in
-:func:`repro.net.loadgen.run_open_load`.
+own arrivals; healthy shards' queues are untouched. Every worker runs
+on :func:`repro.net.loadgen.serve_and_record`, the live tier's worker,
+so latency, warmup and drain are measured exactly as there.
 
 Keyspace skew is the knob that makes placement interesting: ``uniform``
 spreads arrivals evenly, ``zipf`` (probability ∝ 1/rank^s) concentrates
@@ -29,21 +29,24 @@ multi-process overhead floor, not scale-up (PR 6 reporting precedent).
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import os
 import platform
 import random
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
-from repro.core.client import ABORT
 from repro.errors import ConfigurationError
 from repro.fabric.client import FabricClient
-from repro.fabric.host import stats_to_dict
 from repro.fabric.supervisor import FabricSupervisor
-from repro.net.daemon import TIMED_OUT
-from repro.net.loadgen import LoadResult, measurement_harness
+from repro.net.group import stats_to_dict
+from repro.net.loadgen import (
+    LoadResult,
+    Op,
+    Worker,
+    serve_and_record,
+    verdict_to_dict,
+)
 from repro.net.wire import get_codec
 from repro.sim.environment import derive_seed
 
@@ -144,21 +147,6 @@ class FabricLoadResult:
         }
 
 
-def _record(
-    result: LoadResult, is_read: bool, value: Any, elapsed: float
-) -> None:
-    if value is TIMED_OUT:
-        result.timeouts += 1
-    elif is_read and value is ABORT:
-        result.aborts += 1
-    elif is_read:
-        result.reads += 1
-        result.read_latency.add(elapsed)
-    else:
-        result.writes += 1
-        result.write_latency.add(elapsed)
-
-
 async def run_fabric_load(
     client: FabricClient,
     mode: str = "open",
@@ -192,13 +180,12 @@ async def run_fabric_load(
         )
         for shard_id in client.topology.shard_ids
     }
-    workers = []
-
+    workers: list[Worker] = []
     if mode == "open":
         if rate is None or rate <= 0:
             raise ConfigurationError(f"open-loop rate must be positive: {rate}")
         rng = random.Random(derive_seed(seed, "fabric:openloop"))
-        plans: dict[tuple[str, int], list[tuple[float, str, bool]]] = {}
+        plans: dict[tuple[str, int], list[Op]] = {}
         next_worker = {shard_id: 0 for shard_id in client.topology.shard_ids}
         when = start
         while True:
@@ -211,32 +198,10 @@ async def run_fabric_load(
             worker = next_worker[shard_id]
             next_worker[shard_id] = (worker + 1) % client.clients_per_shard
             plans.setdefault((shard_id, worker), []).append(
-                (when, key, is_read)
+                (when, is_read, f"{key}={shard_id}.c{worker}")
             )
-
-        async def serve_open(
-            shard_id: str, worker: int, items: list[tuple[float, str, bool]]
-        ) -> None:
-            endpoint = client.endpoint(shard_id, worker)
-            sequence = 0
-            for scheduled, key, is_read in items:
-                now = clock.now()
-                if scheduled > now:
-                    await asyncio.sleep(scheduled - now)
-                if is_read:
-                    value = await endpoint.read()
-                else:
-                    sequence += 1
-                    value = await endpoint.write(
-                        f"{key}={shard_id}.c{worker}#{sequence}"
-                    )
-                elapsed = clock.now() - scheduled  # queueing included
-                if scheduled < warm_until:
-                    continue
-                _record(results[shard_id], is_read, value, elapsed)
-
         workers = [
-            serve_open(shard_id, worker, items)
+            (client.endpoint(shard_id, worker), items, results[shard_id])
             for (shard_id, worker), items in sorted(plans.items())
         ]
     elif mode == "closed":
@@ -246,42 +211,31 @@ async def run_fabric_load(
         for key in picker.all_keys():
             keys_by_shard[client.place(key)].append(key)
 
-        async def serve_closed(shard_id: str, worker: int) -> None:
+        def closed_ops(shard_id: str, worker: int) -> Iterator[Op]:
             owned = keys_by_shard[shard_id]
             if not owned:
                 return  # the ring gave this shard no keys at this keyspace
-            endpoint = client.endpoint(shard_id, worker)
             rng_w = random.Random(
                 derive_seed(seed, f"fabric:closed:{shard_id}.c{worker}")
             )
-            sequence = 0
             while clock.now() < deadline:
                 key = owned[rng_w.randrange(len(owned))]
                 is_read = rng_w.random() < read_fraction
-                begin = clock.now()
-                if is_read:
-                    value = await endpoint.read()
-                else:
-                    sequence += 1
-                    value = await endpoint.write(
-                        f"{key}={shard_id}.c{worker}#{sequence}"
-                    )
-                elapsed = clock.now() - begin
-                if begin < warm_until:
-                    continue
-                _record(results[shard_id], is_read, value, elapsed)
+                yield None, is_read, f"{key}={shard_id}.c{worker}"
 
         workers = [
-            serve_closed(shard_id, worker)
+            (
+                client.endpoint(shard_id, worker),
+                closed_ops(shard_id, worker),
+                results[shard_id],
+            )
             for shard_id in client.topology.shard_ids
             for worker in range(client.clients_per_shard)
         ]
     else:
         raise ConfigurationError(f"unknown load mode {mode!r}")
 
-    with measurement_harness():
-        await asyncio.gather(*workers)
-    measured = max(clock.now() - warm_until, duration)
+    measured = await serve_and_record(clock, workers, warm_until, duration)
     for result in results.values():
         result.duration = measured  # drain honesty, as in net.loadgen
     return FabricLoadResult(
@@ -295,36 +249,16 @@ async def run_fabric_load(
 
 
 async def fabric_benchmark(
-    supervisor: FabricSupervisor,
-    client: FabricClient,
-    mode: str = "open",
-    rate: Optional[float] = None,
-    duration: float = 5.0,
-    warmup: float = 1.0,
-    read_fraction: float = 0.5,
-    keys: int = 256,
-    skew: str = "uniform",
-    zipf_s: float = 1.1,
-    seed: int = 0,
+    supervisor: FabricSupervisor, client: FabricClient, **load_args: Any
 ) -> dict[str, Any]:
     """One started fabric -> one scale-out *point* (see the artifact).
 
-    The fabric must already be started and the client connected; the
-    caller tears both down. Every shard's history is judged by the
-    sweep checker; ``all_clean`` ands the verdicts.
+    ``load_args`` are :func:`run_fabric_load`'s keywords. The fabric must
+    already be started and the client connected; the caller tears both
+    down. Every shard's history is judged by the sweep checker;
+    ``all_clean`` ands the verdicts.
     """
-    load = await run_fabric_load(
-        client,
-        mode=mode,
-        rate=rate,
-        duration=duration,
-        warmup=warmup,
-        read_fraction=read_fraction,
-        keys=keys,
-        skew=skew,
-        zipf_s=zipf_s,
-        seed=seed,
-    )
+    load = await run_fabric_load(client, **load_args)
     server_stats = await supervisor.stats()
     per_shard: dict[str, Any] = {}
     all_clean = True
@@ -332,20 +266,15 @@ async def fabric_benchmark(
         verdict = client.check_shard(shard_id, algorithm="sweep")
         all_clean = all_clean and bool(verdict.ok)
         entry = load.shards[shard_id].to_dict()
-        entry["verdict"] = {
-            "clean": bool(verdict.ok),
-            "violations": len(verdict.violations),
-            "checked_reads": verdict.checked_reads,
-            "aborted_reads": verdict.aborted_reads,
-        }
+        entry["verdict"] = verdict_to_dict(verdict)
         entry["history_ops"] = len(list(client.histories[shard_id]))
         entry["messages"] = server_stats.get(shard_id, {})
         entry["client_timeouts"] = client.shard_timeouts(shard_id)
         per_shard[shard_id] = entry
     return {
         "shards": len(client.topology.shard_ids),
-        "mode": mode,
-        "offered_ops_per_s": rate if mode == "open" else None,
+        "mode": load.mode,
+        "offered_ops_per_s": load.offered_rate,
         "aggregate": load.aggregate.to_dict(),
         "per_shard": per_shard,
         "all_clean": all_clean,

@@ -67,28 +67,22 @@ class FabricSupervisor:
         if specs is None:
             if shards < 1:
                 raise ConfigurationError(f"need at least one shard: {shards}")
-            built = []
-            for i in range(shards):
-                shard_id = f"shard{i}"
-                byz: tuple[tuple[str, str], ...] = ()
-                if byzantine is not None:
-                    last = f"s{n - 1}"
-                    byz = ((last, byzantine),)
-                built.append(
-                    ShardSpec(
-                        shard_id=shard_id,
-                        n=n,
-                        f=f,
-                        seed=derive_seed(seed, f"fabric:{shard_id}"),
-                        byzantine=byz,
-                        proxied=proxied,
-                        wire=wire,
-                        family=family,
-                        socket_dir=socket_dir,
-                        flush_watermark=flush_watermark,
-                    )
+            byz = () if byzantine is None else ((f"s{n - 1}", byzantine),)
+            specs = [
+                ShardSpec(
+                    shard_id=f"shard{i}",
+                    n=n,
+                    f=f,
+                    seed=derive_seed(seed, f"fabric:shard{i}"),
+                    byzantine=byz,
+                    proxied=proxied,
+                    wire=wire,
+                    family=family,
+                    socket_dir=socket_dir,
+                    flush_watermark=flush_watermark,
                 )
-            specs = built
+                for i in range(shards)
+            ]
         specs = tuple(specs)
         ids = [spec.shard_id for spec in specs]
         if len(set(ids)) != len(ids):

@@ -16,13 +16,14 @@ route keys identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Optional, Sequence
 
 from repro.byzantine.strategies import STRATEGY_ZOO
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.fabric.ring import DEFAULT_VNODES, HashRing
+from repro.net.group import check_group_settings
 from repro.net.transport import DEFAULT_FLUSH_WATERMARK
 from repro.net.wire import DEFAULT_WIRE
 
@@ -53,26 +54,19 @@ class ShardSpec:
     def __post_init__(self) -> None:
         if not self.shard_id:
             raise ConfigurationError("shard_id must be non-empty")
-        config = self.config()  # validates the n >= 5f+1 bound
-        if len(self.byzantine) > self.f:
-            raise ConfigurationError(
-                f"{self.shard_id}: {len(self.byzantine)} Byzantine servers "
-                f"configured but f={self.f}"
-            )
-        for sid, strategy in self.byzantine:
-            if sid not in config.server_ids:
-                raise ConfigurationError(
-                    f"{self.shard_id}: unknown Byzantine server id {sid!r}"
-                )
+        # The n >= 5f+1 bound, then the checks every server group shares.
+        check_group_settings(
+            self.config(),
+            [sid for sid, _ in self.byzantine],
+            self.family,
+            self.socket_dir,
+        )
+        for _, strategy in self.byzantine:
             if strategy not in STRATEGY_ZOO:
                 raise ConfigurationError(
                     f"{self.shard_id}: unknown strategy {strategy!r}; "
                     f"known: {sorted(STRATEGY_ZOO)}"
                 )
-        if self.family not in ("tcp", "unix"):
-            raise ConfigurationError(f"unknown address family {self.family!r}")
-        if self.family == "unix" and not self.socket_dir:
-            raise ConfigurationError("family='unix' needs a socket_dir")
 
     def config(self) -> SystemConfig:
         return SystemConfig(n=self.n, f=self.f)
@@ -82,35 +76,18 @@ class ShardSpec:
         return {sid: STRATEGY_ZOO[name] for sid, name in self.byzantine}
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "shard_id": self.shard_id,
-            "n": self.n,
-            "f": self.f,
-            "seed": self.seed,
-            "byzantine": [list(pair) for pair in self.byzantine],
-            "proxied": self.proxied,
-            "wire": self.wire,
-            "family": self.family,
-            "socket_dir": self.socket_dir,
-            "flush_watermark": self.flush_watermark,
-        }
+        data = asdict(self)
+        data["byzantine"] = [list(pair) for pair in self.byzantine]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ShardSpec":
-        return cls(
-            shard_id=data["shard_id"],
-            n=data["n"],
-            f=data["f"],
-            seed=data["seed"],
-            byzantine=tuple(
-                (sid, name) for sid, name in data.get("byzantine", ())
-            ),
-            proxied=data.get("proxied", False),
-            wire=data.get("wire", DEFAULT_WIRE),
-            family=data.get("family", "tcp"),
-            socket_dir=data.get("socket_dir"),
-            flush_watermark=data.get("flush_watermark", DEFAULT_FLUSH_WATERMARK),
+        known = {field.name for field in fields(cls)}
+        kwargs = {key: value for key, value in data.items() if key in known}
+        kwargs["byzantine"] = tuple(
+            (sid, name) for sid, name in data.get("byzantine", ())
         )
+        return cls(**kwargs)
 
 
 class FabricTopology:

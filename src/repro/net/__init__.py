@@ -10,6 +10,9 @@ Layers (each importable alone):
   stand-in that lets unmodified protocol classes run live.
 * :mod:`repro.net.daemon` — :class:`ServerDaemon` / :class:`ClientEndpoint`.
 * :mod:`repro.net.proxy` — socket-layer FairLossyChannel twin.
+* :mod:`repro.net.group` — :class:`ServerGroup`, one register group of
+  daemons (+ fault proxies) with churn and state transfer; hosted by the
+  cluster and by every fabric shard.
 * :mod:`repro.net.cluster` — :class:`LiveRegisterCluster` on loopback.
 * :mod:`repro.net.loadgen` — closed/open-loop load, saturation sweeps,
   ``BENCH_live.json``.
@@ -23,6 +26,7 @@ protocol layers, never the reverse (lint rule NET001).
 from repro.net.bridge import LiveClock, NetEnvironment
 from repro.net.cluster import LiveRegisterCluster
 from repro.net.daemon import TIMED_OUT, ClientEndpoint, ServerDaemon
+from repro.net.group import ServerGroup
 from repro.net.loadgen import (
     LoadResult,
     benchmark,
@@ -55,6 +59,7 @@ __all__ = [
     "TIMED_OUT",
     "ClientEndpoint",
     "ServerDaemon",
+    "ServerGroup",
     "LoadResult",
     "benchmark",
     "measurement_harness",

@@ -1,11 +1,11 @@
 """A whole live register deployment on loopback, checked like a sim run.
 
 :class:`LiveRegisterCluster` is the live twin of
-:class:`~repro.core.register.RegisterSystem`: it boots ``config.n``
-:class:`~repro.net.daemon.ServerDaemon` processes (substituting Byzantine
-zoo factories where requested, at most ``f``), dials ``n_clients``
-:class:`~repro.net.daemon.ClientEndpoint` clients into all of them, and
-records every invocation/response into one shared
+:class:`~repro.core.register.RegisterSystem`: it hosts one
+:class:`~repro.net.group.ServerGroup` of ``config.n`` server daemons
+(substituting Byzantine zoo factories where requested, at most ``f``),
+dials ``n_clients`` :class:`~repro.net.daemon.ClientEndpoint` clients
+into all of them, and records every invocation/response into one shared
 :class:`~repro.spec.history.History` stamped by one shared
 :class:`~repro.net.bridge.LiveClock` — so the captured run is judged by
 the very same :class:`~repro.spec.regularity.RegularityChecker` that
@@ -14,108 +14,29 @@ judges simulated histories.
 Everything lives in one OS process and one event loop ("live" means real
 sockets and kernel scheduling, not real distribution); an optional
 :class:`~repro.net.proxy.FaultProxy` per server interposes
-FairLossyChannel-style faults on the wire. Seeding matches the sim: every
-hosted process draws its RNG stream from ``derive_seed(seed, pid)``, so a
-live Byzantine server and its simulated twin emit identical forgeries.
+FairLossyChannel-style faults on the wire. Seeding matches the sim (see
+:mod:`repro.net.group`), so a live Byzantine server and its simulated
+twin emit identical forgeries.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Optional
 
 from repro.core.config import SystemConfig
-from repro.core.messages import StateReply, StateRequest
-from repro.core.server import INITIAL_VALUE, adopt_snapshot
+from repro.core.server import INITIAL_VALUE
 from repro.errors import ConfigurationError
 from repro.net.bridge import LiveClock
-from repro.net.daemon import ClientEndpoint, ServerDaemon, ServerFactory, default_scheme
-from repro.net.proxy import FaultPolicy, FaultProxy
-from repro.net.transport import (
-    DEFAULT_FLUSH_WATERMARK,
-    StreamConnection,
-    open_frame_connection,
-)
+from repro.net.daemon import ClientEndpoint, ServerFactory, default_scheme
+from repro.net.group import ServerGroup, check_group_settings
+from repro.net.proxy import FaultPolicy
+from repro.net.transport import DEFAULT_FLUSH_WATERMARK
 from repro.net.wire import DEFAULT_WIRE, get_codec
-from repro.sim.environment import derive_seed
 from repro.sim.tracing import MessageStats
 from repro.spec.history import History
 from repro.spec.regularity import RegularityChecker, RegularityVerdict
 
-__all__ = ["LiveRegisterCluster", "one_shot_state", "poll_state_snapshots"]
-
-
-async def one_shot_state(
-    probe: str,
-    peer: str,
-    address: str,
-    nonce: int,
-    wire: int = DEFAULT_WIRE,
-) -> Optional[StateReply]:
-    """One wire-level StateRequest/StateReply exchange with ``peer``.
-
-    ``flush_watermark=0``: a single below-watermark request with no
-    flusher attached would otherwise sit in the coalescing buffer
-    forever. Returns ``None`` when the peer at ``address`` identifies
-    as someone other than ``peer`` (stale address after churn).
-    """
-    got: asyncio.Future = asyncio.get_running_loop().create_future()
-
-    def on_message(
-        conn: StreamConnection, src: str, dst: str, payload: Any
-    ) -> None:
-        if isinstance(payload, StateReply) and payload.nonce == nonce:
-            if not got.done():
-                got.set_result(payload)
-
-    conn = await open_frame_connection(
-        address,
-        lambda: StreamConnection(
-            MessageStats(),
-            on_message,
-            codec=get_codec(wire),
-            flush_watermark=0,
-        ),
-    )
-    try:
-        conn.send_hello(probe)
-        peer_pid = await conn.expect_hello()
-        if peer_pid != peer:
-            return None
-        conn.start_pump()
-        conn.send_payload(probe, peer, StateRequest(nonce=nonce))
-        return await got
-    finally:
-        await conn.close()
-
-
-async def poll_state_snapshots(
-    peers: dict[str, str],
-    probe: str,
-    nonce: int,
-    wire: int = DEFAULT_WIRE,
-    timeout: float = 5.0,
-) -> dict[str, tuple[Any, Any]]:
-    """Ask every peer (id -> address) for its ``(value, ts)`` snapshot.
-
-    This is the PR 8 state-transfer poll: the live analogue of the sim
-    joiner's StateRequest broadcast, one one-shot connection per peer.
-    Peers that time out, refuse the connection, or misidentify are
-    simply absent from the result — :func:`adopt_snapshot` then decides
-    whether the ``f+1`` witnesses it needs are among the answers.
-    """
-    replies: dict[str, tuple[Any, Any]] = {}
-    for peer, address in sorted(peers.items()):
-        try:
-            reply = await asyncio.wait_for(
-                one_shot_state(probe, peer, address, nonce, wire=wire),
-                timeout=timeout,
-            )
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            continue
-        if reply is not None:
-            replies[peer] = (reply.value, reply.ts)
-    return replies
+__all__ = ["LiveRegisterCluster"]
 
 
 class LiveRegisterCluster:
@@ -175,26 +96,11 @@ class LiveRegisterCluster:
                 raise ConfigurationError(
                     f"external_servers missing addresses for: {sorted(missing)}"
                 )
-        if len(byzantine) > config.f:
-            raise ConfigurationError(
-                f"{len(byzantine)} Byzantine servers configured but f={config.f}"
-            )
-        unknown = set(byzantine) - set(config.server_ids)
-        if unknown:
-            raise ConfigurationError(f"unknown Byzantine server ids: {unknown}")
-        if family == "unix" and not socket_dir:
-            raise ConfigurationError("family='unix' needs a socket_dir")
-        if family not in ("tcp", "unix"):
-            raise ConfigurationError(f"unknown address family {family!r}")
+        check_group_settings(config, byzantine, family, socket_dir)
 
         self.config = config
         self.seed = seed
         self.n_clients = n_clients
-        self.byzantine_ids = set(byzantine)
-        self._byzantine = byzantine
-        self._family = family
-        self._socket_dir = socket_dir
-        self.proxy_policy = proxy_policy
         self.op_timeout = op_timeout
         self._external = dict(external_servers) if external_servers else None
         self.wire = wire
@@ -203,69 +109,31 @@ class LiveRegisterCluster:
 
         self.scheme = default_scheme(config, mwmr=mwmr)
         self.clock = LiveClock()
+        self.group = ServerGroup(
+            config,
+            self.scheme,
+            seed=seed,
+            byzantine=byzantine,
+            family=family,
+            socket_dir=socket_dir,
+            proxy_policy=proxy_policy,
+            wire=wire,
+            flush_watermark=flush_watermark,
+            clock=self.clock,
+        )
         self.history = History()
-        self.daemons: dict[str, ServerDaemon] = {}
-        self.proxies: dict[str, FaultProxy] = {}
         self.endpoints: dict[str, ClientEndpoint] = {}
-        self.addresses: dict[str, str] = {}  # as dialed by clients
-        self.departed: set[str] = set()  # retired, awaiting respawn
-        self._generations: dict[str, int] = {}  # respawn counts per sid
-        self.started = False
 
     # -- lifecycle -------------------------------------------------------
-    def _listen_address(self, sid: str) -> str:
-        if self._family == "unix":
-            return f"unix:{self._socket_dir}/{sid}.sock"
-        return "tcp:127.0.0.1:0"
-
     async def start(self) -> None:
-        """Boot daemons, proxies and endpoints; rebase the cluster clock."""
-        if self._external is not None:
-            self.addresses.update(self._external)
-            await self._start_clients()
-            return
-        for sid in self.config.server_ids:
-            daemon = ServerDaemon(
-                sid,
-                self.config,
-                address=self._listen_address(sid),
-                factory=self._byzantine.get(sid),
-                scheme=self.scheme,
-                seed=self.seed,
-                clock=self.clock,
-                wire=self.wire,
-                flush_watermark=self.flush_watermark,
-            )
-            await daemon.start()
-            self.daemons[sid] = daemon
-            self.addresses[sid] = daemon.address
-
-        if self.proxy_policy is not None:
-            for sid in self.config.server_ids:
-                listen = (
-                    f"unix:{self._socket_dir}/{sid}-proxy.sock"
-                    if self._family == "unix"
-                    else "tcp:127.0.0.1:0"
-                )
-                proxy = FaultProxy(
-                    upstream=self.addresses[sid],
-                    listen=listen,
-                    policy=self.proxy_policy,
-                    seed=derive_seed(self.seed, f"proxy:{sid}"),
-                )
-                await proxy.start()
-                self.proxies[sid] = proxy
-                self.addresses[sid] = proxy.address
-
-        await self._start_clients()
-
-    async def _start_clients(self) -> None:
+        """Boot the server group (unless external) and the endpoints."""
+        addresses = self._external or await self.group.start()
         for i in range(self.n_clients):
             cid = f"c{i}"
             endpoint = ClientEndpoint(
                 cid,
                 self.config,
-                self.addresses,
+                addresses,
                 history=self.history,
                 clock=self.clock,
                 scheme=self.scheme,
@@ -278,17 +146,12 @@ class LiveRegisterCluster:
             self.endpoints[cid] = endpoint
 
         self.clock.start()  # history time zero = "cluster fully wired"
-        self.started = True
 
     async def stop(self) -> None:
         """Tear everything down (idempotent)."""
         for endpoint in self.endpoints.values():
             await endpoint.close()
-        for proxy in self.proxies.values():
-            await proxy.stop()
-        for daemon in self.daemons.values():
-            await daemon.stop()
-        self.started = False
+        await self.group.stop()
 
     async def __aenter__(self) -> "LiveRegisterCluster":
         await self.start()
@@ -298,9 +161,6 @@ class LiveRegisterCluster:
         await self.stop()
 
     # -- operations ------------------------------------------------------
-    def endpoint(self, cid: str) -> ClientEndpoint:
-        return self.endpoints[cid]
-
     async def write(self, cid: str, value: Any) -> Any:
         return await self.endpoints[cid].write(value)
 
@@ -309,110 +169,22 @@ class LiveRegisterCluster:
 
     # -- membership (continuous churn) -----------------------------------
     async def retire_server(self, sid: str) -> None:
-        """Take one server out of the deployment for real.
-
-        The daemon's socket closes and its hosted process is gone —
-        unlike a proxy :meth:`~repro.net.proxy.FaultProxy.kill`, nothing
-        of the server survives. Clients see dead connections and missing
-        replies; with at most ``f`` servers absent the ``n - f`` quorums
-        still assemble from the remainder.
-        """
+        """Take one server out of the deployment (:meth:`ServerGroup.retire`)."""
         if self._external is not None:
             raise ConfigurationError("cannot retire external servers")
-        if sid not in self.daemons:
-            raise ConfigurationError(f"unknown server id: {sid!r}")
-        if sid in self.departed:
-            raise ConfigurationError(f"server {sid!r} is already retired")
-        self.departed.add(sid)
-        proxy = self.proxies.pop(sid, None)
-        if proxy is not None:
-            await proxy.stop()
-        await self.daemons[sid].stop()
+        await self.group.retire(sid)
 
     async def respawn_server(self, sid: str, transfer: bool = True) -> str:
-        """Bring a retired server back as a brand-new daemon.
+        """Respawn a retired server with state transfer, then redial.
 
-        The replacement listens on a fresh address with a fresh RNG
-        stream (``derive_seed(seed, "respawn:{sid}:{gen}")``) and — when
-        ``transfer`` is on and the slot is not Byzantine — adopts the
-        ``(value, ts)`` snapshot the live peers vouch for: the cluster
-        polls each of them over the wire with a real
-        :class:`~repro.core.messages.StateRequest` one-shot connection
-        and runs the same f+1-vote
-        :func:`~repro.core.server.adopt_snapshot` the sim-tier joiner
-        runs on its own broadcast. Every endpoint then redials the new
-        address. Returns the address clients now dial.
+        :meth:`ServerGroup.respawn` boots the replacement and adopts the
+        snapshot f+1 live peers vouch for; every endpoint then redials
+        the new address. Returns the address clients now dial.
         """
-        if sid not in self.departed:
-            raise ConfigurationError(f"server {sid!r} is not retired")
-        gen = self._generations.get(sid, 0) + 1
-        self._generations[sid] = gen
-        listen = (
-            f"unix:{self._socket_dir}/{sid}-g{gen}.sock"
-            if self._family == "unix"
-            else "tcp:127.0.0.1:0"
-        )
-        daemon = ServerDaemon(
-            sid,
-            self.config,
-            address=listen,
-            factory=self._byzantine.get(sid),
-            scheme=self.scheme,
-            seed=derive_seed(self.seed, f"respawn:{sid}:{gen}"),
-            clock=self.clock,
-            wire=self.wire,
-            flush_watermark=self.flush_watermark,
-        )
-        await daemon.start()
-        self.daemons[sid] = daemon
-        address = daemon.address
-        if transfer and sid not in self.byzantine_ids:
-            replies = await self._poll_state(sid, nonce=gen)
-            winner = adopt_snapshot(replies, self.scheme, self.config.f)
-            process = daemon.process
-            if winner is not None:
-                # Unconditional, unlike the sim joiner's ≺-guarded
-                # adoption: no endpoint learns the new address until
-                # after this block, so nothing can have reached the
-                # fresh daemon — its boot label is an arbitrary point
-                # of the bounded (cyclic, bottomless) label graph, not
-                # adopted write state, and a ≺-guard against it would
-                # refuse genuine snapshots without protecting anything.
-                process.value, process.ts = winner
-                process.old_vals = []
-        if self.proxy_policy is not None:
-            proxy_listen = (
-                f"unix:{self._socket_dir}/{sid}-proxy-g{gen}.sock"
-                if self._family == "unix"
-                else "tcp:127.0.0.1:0"
-            )
-            proxy = FaultProxy(
-                upstream=address,
-                listen=proxy_listen,
-                policy=self.proxy_policy,
-                seed=derive_seed(self.seed, f"proxy:{sid}:g{gen}"),
-            )
-            await proxy.start()
-            self.proxies[sid] = proxy
-            address = proxy.address
-        self.addresses[sid] = address
-        self.departed.discard(sid)
+        address = await self.group.respawn(sid, transfer=transfer)
         for endpoint in self.endpoints.values():
             await endpoint.redial(sid, address=address)
         return address
-
-    async def _poll_state(
-        self, joiner: str, nonce: int
-    ) -> dict[str, tuple[Any, Any]]:
-        """Ask every live peer for its ``(value, ts)`` snapshot."""
-        peers = {
-            peer: daemon.address
-            for peer, daemon in self.daemons.items()
-            if peer != joiner and peer not in self.departed
-        }
-        return await poll_state_snapshots(
-            peers, probe=f"join:{joiner}:{nonce}", nonce=nonce, wire=self.wire
-        )
 
     # -- verification & accounting --------------------------------------
     def checker(self, **overrides: Any) -> RegularityChecker:
@@ -429,9 +201,7 @@ class LiveRegisterCluster:
 
     def stats(self) -> MessageStats:
         """Message accounting merged across every host in the cluster."""
-        merged = MessageStats()
-        for daemon in self.daemons.values():
-            merged = merged.merged_with(daemon.stats)
+        merged = self.group.stats()
         for endpoint in self.endpoints.values():
             merged = merged.merged_with(endpoint.stats)
         return merged

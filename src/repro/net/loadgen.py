@@ -16,11 +16,13 @@ Two generator shapes, one result type:
   offered rate (:func:`saturation_sweep`) traces the throughput–latency
   hockey stick and locates the knee.
 
-Latencies stream into per-kind :class:`~repro.harness.metrics.LogHistogram`
+Both shapes (and the fabric's, :mod:`repro.fabric.loadgen`) are op
+generators run by one worker loop, :func:`serve_and_record`. Latencies
+stream into per-kind :class:`~repro.harness.metrics.LogHistogram`
 buckets — O(1) memory, exact counts, bounded relative error — never a
-sample list. Samples whose operation began (closed) or was scheduled
-(open) during the warmup window are discarded; counters of aborts and
-timeouts are not, so the report still accounts for every operation issued.
+sample list. An operation that began (closed) or was scheduled (open)
+during the warmup window is left out entirely: its latency sample and
+its read/write/abort/timeout count.
 
 Runs execute inside :func:`measurement_harness`: the cyclic GC is
 collected once, survivors are frozen into the permanent generation and
@@ -44,13 +46,16 @@ import gc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Iterator, Optional, Sequence
+from typing import Any, Awaitable, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.client import ABORT
 from repro.harness.metrics import LogHistogram
 from repro.net.cluster import LiveRegisterCluster
-from repro.net.daemon import TIMED_OUT
+from repro.net.bridge import LiveClock
+from repro.net.daemon import TIMED_OUT, ClientEndpoint
+from repro.net.group import stats_to_dict
 from repro.sim.environment import derive_seed
+from repro.spec.regularity import RegularityVerdict
 
 __all__ = [
     "LoadResult",
@@ -58,6 +63,8 @@ __all__ = [
     "run_load",
     "run_open_load",
     "saturation_sweep",
+    "serve_and_record",
+    "verdict_to_dict",
     "benchmark",
 ]
 
@@ -127,6 +134,82 @@ class LoadResult:
         return out
 
 
+#: One operation of a load worker: ``(arrival, is_read, tag)``.
+#: ``arrival`` is the scheduled instant (open loop) or ``None`` for "as
+#: soon as the previous op completes" (closed loop); a write stores
+#: ``"{tag}#{n}"``, ``n`` counting the worker's writes from 1.
+Op = tuple[Optional[float], bool, str]
+
+
+#: One load worker: the endpoint it drives, its ops, where samples go.
+Worker = tuple[ClientEndpoint, Iterable[Op], LoadResult]
+
+
+async def serve_and_record(
+    clock: LiveClock,
+    workers: Sequence[Worker],
+    warm_until: float,
+    duration: float,
+) -> float:
+    """Run every worker to completion; returns the measured window.
+
+    A worker issues its ops one at a time. An op with an arrival waits
+    for it and is timed from it, queueing delay included; one without is
+    timed from its start. Samples that began before ``warm_until`` are
+    dropped (warmup: setup effects, not steady state). Ops are drawn
+    lazily, so a generator can check its deadline after each completion.
+    """
+
+    async def serve(
+        endpoint: ClientEndpoint, ops: Iterable[Op], result: LoadResult
+    ) -> None:
+        written = 0
+        for arrival, is_read, tag in ops:
+            if arrival is None:
+                begin = clock.now()
+            else:
+                begin = arrival
+                now = clock.now()
+                if arrival > now:
+                    await asyncio.sleep(arrival - now)
+            if is_read:
+                value = await endpoint.read()
+            else:
+                written += 1
+                value = await endpoint.write(f"{tag}#{written}")
+            if begin >= warm_until:
+                _record(result, is_read, value, clock.now() - begin)
+
+    with measurement_harness():
+        await asyncio.gather(*(serve(*worker) for worker in workers))
+    # The window closes when the last in-flight operation drains, not at
+    # the nominal deadline: throughput honesty over round numbers.
+    return max(clock.now() - warm_until, duration)
+
+
+def verdict_to_dict(verdict: RegularityVerdict) -> dict[str, Any]:
+    """The artifact form of a sweep verdict."""
+    return {
+        "clean": bool(verdict.ok),
+        "violations": len(verdict.violations),
+        "checked_reads": verdict.checked_reads,
+        "aborted_reads": verdict.aborted_reads,
+    }
+
+
+def _record(result: LoadResult, is_read: bool, value: Any, elapsed: float) -> None:
+    if value is TIMED_OUT:
+        result.timeouts += 1
+    elif is_read and value is ABORT:
+        result.aborts += 1
+    elif is_read:
+        result.reads += 1
+        result.read_latency.add(elapsed)
+    else:
+        result.writes += 1
+        result.write_latency.add(elapsed)
+
+
 async def run_load(
     cluster: LiveRegisterCluster,
     duration: float = 5.0,
@@ -148,28 +231,15 @@ async def run_load(
     deadline = warm_until + duration
     result = LoadResult(duration=duration, mode="closed")
 
-    async def worker(cid: str) -> None:
-        endpoint = cluster.endpoints[cid]
+    def ops(cid: str) -> Iterator[Op]:
         rng = random.Random(derive_seed(seed, f"loadgen:{cid}"))
-        sequence = 0
         while clock.now() < deadline:
-            is_read = rng.random() < read_fraction
-            begin = clock.now()
-            if is_read:
-                value = await endpoint.read()
-            else:
-                sequence += 1
-                value = await endpoint.write(f"{cid}#{sequence}")
-            elapsed = clock.now() - begin
-            if begin < warm_until:
-                continue  # warmup: setup effects, not steady state
-            _record(result, is_read, value, elapsed)
+            yield None, rng.random() < read_fraction, cid
 
-    with measurement_harness():
-        await asyncio.gather(*(worker(cid) for cid in cluster.endpoints))
-    # The window closes when the last in-flight operation drains, not at
-    # the nominal deadline: throughput honesty over round numbers.
-    result.duration = max(clock.now() - warm_until, duration)
+    workers = [
+        (endpoint, ops(cid), result) for cid, endpoint in cluster.endpoints.items()
+    ]
+    result.duration = await serve_and_record(clock, workers, warm_until, duration)
     return result
 
 
@@ -205,46 +275,20 @@ async def run_open_load(
     per_client = rate / len(cluster.endpoints)
     result = LoadResult(duration=duration, mode="open", offered_rate=rate)
 
-    async def worker(cid: str) -> None:
-        endpoint = cluster.endpoints[cid]
+    def ops(cid: str) -> Iterator[Op]:
         rng = random.Random(derive_seed(seed, f"openloop:{cid}"))
-        sequence = 0
-        scheduled = start
+        arrival = start
         while True:
-            scheduled += rng.expovariate(per_client)
-            if scheduled >= deadline:
+            arrival += rng.expovariate(per_client)
+            if arrival >= deadline:
                 return  # arrivals stop; in-flight work has drained
-            now = clock.now()
-            if scheduled > now:
-                await asyncio.sleep(scheduled - now)
-            is_read = rng.random() < read_fraction
-            if is_read:
-                value = await endpoint.read()
-            else:
-                sequence += 1
-                value = await endpoint.write(f"{cid}#{sequence}")
-            elapsed = clock.now() - scheduled  # queueing delay included
-            if scheduled < warm_until:
-                continue
-            _record(result, is_read, value, elapsed)
+            yield arrival, rng.random() < read_fraction, cid
 
-    with measurement_harness():
-        await asyncio.gather(*(worker(cid) for cid in cluster.endpoints))
-    result.duration = max(clock.now() - warm_until, duration)
+    workers = [
+        (endpoint, ops(cid), result) for cid, endpoint in cluster.endpoints.items()
+    ]
+    result.duration = await serve_and_record(clock, workers, warm_until, duration)
     return result
-
-
-def _record(result: LoadResult, is_read: bool, value: Any, elapsed: float) -> None:
-    if value is TIMED_OUT:
-        result.timeouts += 1
-    elif is_read and value is ABORT:
-        result.aborts += 1
-    elif is_read:
-        result.reads += 1
-        result.read_latency.add(elapsed)
-    else:
-        result.writes += 1
-        result.write_latency.add(elapsed)
 
 
 async def saturation_sweep(
@@ -314,25 +358,15 @@ async def benchmark(
     captured history (including warmup operations — correctness has no
     warmup exclusion).
     """
+    shape = dict(
+        duration=duration, warmup=warmup, read_fraction=read_fraction, seed=seed
+    )
     if mode == "closed":
-        load = await run_load(
-            cluster,
-            duration=duration,
-            warmup=warmup,
-            read_fraction=read_fraction,
-            seed=seed,
-        )
+        load = await run_load(cluster, **shape)
     elif mode == "open":
         if rate is None:
             raise ValueError("open-loop benchmark needs a rate")
-        load = await run_open_load(
-            cluster,
-            rate=rate,
-            duration=duration,
-            warmup=warmup,
-            read_fraction=read_fraction,
-            seed=seed,
-        )
+        load = await run_open_load(cluster, rate=rate, **shape)
     else:
         raise ValueError(f"unknown load mode {mode!r}")
     verdict = cluster.check_regularity(algorithm="sweep")
@@ -344,9 +378,9 @@ async def benchmark(
             "n": cluster.config.n,
             "f": cluster.config.f,
             "clients": cluster.n_clients,
-            "byzantine": sorted(cluster.byzantine_ids),
-            "family": cluster._family,
-            "proxied": cluster.proxy_policy is not None,
+            "byzantine": sorted(cluster.group.byzantine_ids),
+            "family": cluster.group.family,
+            "proxied": cluster.group.proxy_policy is not None,
             "seed": cluster.seed,
             "read_fraction": read_fraction,
             "warmup_s": warmup,
@@ -354,19 +388,8 @@ async def benchmark(
             "flush_watermark": cluster.flush_watermark,
         },
         "load": load.to_dict(),
-        "verdict": {
-            "clean": bool(verdict.ok),
-            "violations": len(verdict.violations),
-            "checked_reads": verdict.checked_reads,
-            "aborted_reads": verdict.aborted_reads,
-        },
-        "messages": {
-            "sent": stats.total_sent,
-            "delivered": stats.total_delivered,
-            "dropped": stats.dropped,
-            "corrupted": stats.corrupted,
-            "client_timeouts": cluster.timeouts,
-        },
+        "verdict": verdict_to_dict(verdict),
+        "messages": {**stats_to_dict(stats), "client_timeouts": cluster.timeouts},
         "history_ops": len(list(cluster.history)),
     }
     if sweep is not None:

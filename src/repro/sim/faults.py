@@ -211,10 +211,33 @@ CORRUPTION_REGISTRY: dict[str, Any] = {
         "clock": INFRASTRUCTURE,
     },
     "LiveRegisterCluster": (
-        "exempt: live-deployment orchestrator (boots daemons, proxies and "
-        "endpoints); like RegisterSystem it runs the experiment rather "
-        "than being part of the modelled process memory"
+        "exempt: live-deployment orchestrator (hosts a ServerGroup and "
+        "the client endpoints); like RegisterSystem it runs the experiment "
+        "rather than being part of the modelled process memory"
     ),
+    # The one server group both tiers host (the live cluster and every
+    # fabric shard): lifecycle plumbing around ServerDaemons.
+    "ServerGroup": {
+        "config": INFRASTRUCTURE,
+        "scheme": INFRASTRUCTURE,
+        "seed": INFRASTRUCTURE,
+        "_factories": INFRASTRUCTURE,
+        "byzantine_ids": INFRASTRUCTURE,
+        "family": INFRASTRUCTURE,
+        "socket_dir": INFRASTRUCTURE,
+        "proxy_policy": INFRASTRUCTURE,
+        "wire": INFRASTRUCTURE,
+        "flush_watermark": INFRASTRUCTURE,
+        "clock": INFRASTRUCTURE,
+        "name": INFRASTRUCTURE,
+        # The hosted ServerDaemons (each wrapping a RegisterServer whose
+        # surface is declared above) plus their fault proxies.
+        "daemons": INFRASTRUCTURE,
+        "proxies": INFRASTRUCTURE,
+        "addresses": INFRASTRUCTURE,
+        "departed": INFRASTRUCTURE,
+        "_generations": INFRASTRUCTURE,
+    },
     # --- sharded fabric (fabric/, cross-checked by WIRE003) ------------
     # Same stance as the hosting layer above: every shard hosts the
     # unmodified protocol classes inside ServerDaemon/ClientEndpoint, so
@@ -234,22 +257,6 @@ CORRUPTION_REGISTRY: dict[str, Any] = {
         "addresses": INFRASTRUCTURE,
         "ring": INFRASTRUCTURE,
         "_by_id": INFRASTRUCTURE,
-    },
-    "ShardServerGroup": {
-        "spec": INFRASTRUCTURE,
-        "config": INFRASTRUCTURE,
-        "scheme": INFRASTRUCTURE,
-        "clock": INFRASTRUCTURE,
-        "byzantine_ids": INFRASTRUCTURE,
-        "_factories": INFRASTRUCTURE,
-        # The hosted ServerDaemons (each wrapping a RegisterServer whose
-        # surface is declared above) plus their fault proxies.
-        "daemons": INFRASTRUCTURE,
-        "proxies": INFRASTRUCTURE,
-        "addresses": INFRASTRUCTURE,
-        "departed": INFRASTRUCTURE,
-        "_generations": INFRASTRUCTURE,
-        "started": INFRASTRUCTURE,
     },
     "InlineShardHost": {
         "spec": INFRASTRUCTURE,

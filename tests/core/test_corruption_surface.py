@@ -98,11 +98,12 @@ def test_corrupt_state_assigns_the_whole_declared_surface(client_cls) -> None:
 
 
 def test_fabric_registry_entries_match_runtime_attrs() -> None:
-    """The fabric hosting-layer declarations (WIRE003's input) must track
-    reality: for every fabric class with a dict entry, the registry's
-    attribute set equals exactly what ``__init__`` assigns at runtime."""
+    """The fabric hosting-layer declarations (WIRE003's input), including
+    the server group every shard hosts, must track reality: for every
+    class with a dict entry, the registry's attribute set equals exactly
+    what ``__init__`` assigns at runtime."""
     from repro.fabric.client import FabricClient
-    from repro.fabric.host import InlineShardHost, ProcessShardHost, ShardServerGroup
+    from repro.fabric.host import InlineShardHost, ProcessShardHost, shard_group
     from repro.fabric.kv import FabricKV, _LiveShardBackend
     from repro.fabric.ring import HashRing
     from repro.fabric.supervisor import FabricSupervisor
@@ -117,7 +118,7 @@ def test_fabric_registry_entries_match_runtime_attrs() -> None:
     instances = [
         HashRing(("shard0",)),
         topology,
-        ShardServerGroup(spec),
+        shard_group(spec),
         InlineShardHost(spec),
         ProcessShardHost(spec),
         FabricClient(topology),

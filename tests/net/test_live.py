@@ -67,7 +67,7 @@ class TestLiveCluster:
                 CONFIG, n_clients=2, seed=3, proxy_policy=policy
             ) as c:
                 load = await run_load(c, duration=1.0, warmup=0.2, seed=3)
-                duplicated = sum(p.duplicated for p in c.proxies.values())
+                duplicated = sum(p.duplicated for p in c.group.proxies.values())
                 return load, duplicated, c.check_regularity(algorithm="sweep")
 
         load, duplicated, verdict = run(scenario())
@@ -150,7 +150,7 @@ class TestLiveCluster:
                     ),
                     writer_id=None,
                 )
-                c.daemons["s0"].process.ts = lookalike
+                c.group.daemons["s0"].process.ts = lookalike
                 load = await run_load(c, duration=1.0, warmup=0.2, seed=13)
                 return (
                     load,

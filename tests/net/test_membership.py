@@ -8,6 +8,9 @@ respawn brings a brand-new daemon up on a fresh address, runs the
 mediated state-transfer handshake over real StateRequest frames, and
 every endpoint redials. Both must leave histories the simulator's own
 RegularityChecker accepts.
+
+The churn scenarios are written once and run against both hostings of
+the one server group: a LiveRegisterCluster and an inline fabric shard.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError
+from repro.fabric import FabricClient, FabricSupervisor
 from repro.net import FaultPolicy, LiveRegisterCluster, WireError
 
 CONFIG = SystemConfig(n=6, f=1)
@@ -35,7 +39,7 @@ class TestKillHeal:
                 CONFIG, n_clients=1, seed=21, proxy_policy=policy
             ) as c:
                 await c.write("c0", "before")
-                proxy = c.proxies["s0"]
+                proxy = c.group.proxies["s0"]
                 await proxy.kill()
                 assert proxy.killed
                 # One dead server of six: n - f quorums still assemble.
@@ -55,25 +59,99 @@ class TestKillHeal:
         assert verdict.ok, verdict.violations
 
 
-class TestChurnMembership:
+class ClusterHosting:
+    """The group as a LiveRegisterCluster hosts it; clients ``c0..``."""
+
+    def __init__(self, seed: int, n_clients: int, **kwargs) -> None:
+        self.cluster = LiveRegisterCluster(
+            CONFIG, n_clients=n_clients, seed=seed, **kwargs
+        )
+        self.group = self.cluster.group
+
+    async def __aenter__(self) -> "ClusterHosting":
+        await self.cluster.start()
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        await self.cluster.stop()
+
+    async def write(self, client: int, value: str) -> None:
+        await self.cluster.write(f"c{client}", value)
+
+    async def read(self, client: int):
+        return await self.cluster.read(f"c{client}")
+
+    async def retire(self, sid: str) -> None:
+        await self.cluster.retire_server(sid)
+
+    async def respawn(self, sid: str) -> str:
+        return await self.cluster.respawn_server(sid)
+
+    def verdict(self):
+        return self.cluster.check_regularity(algorithm="sweep")
+
+
+class InlineShardHosting:
+    """The group as a one-shard inline fabric hosts it; one key, workers ``0..``."""
+
+    def __init__(self, seed: int, n_clients: int, **kwargs) -> None:
+        self.seed = seed
+        self.n_clients = n_clients
+        self.supervisor = FabricSupervisor(shards=1, seed=seed, mode="inline", **kwargs)
+
+    async def __aenter__(self) -> "InlineShardHosting":
+        topology = await self.supervisor.start()
+        self.group = self.supervisor.hosts["shard0"].group
+        self.client = FabricClient(
+            topology, clients_per_shard=self.n_clients, seed=self.seed
+        )
+        await self.client.connect()
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        await self.client.close()
+        await self.supervisor.stop()
+
+    async def write(self, client: int, value: str) -> None:
+        await self.client.put("key", value, worker=client)
+
+    async def read(self, client: int):
+        return await self.client.get("key", worker=client)
+
+    async def retire(self, sid: str) -> None:
+        await self.supervisor.retire("shard0", sid)
+
+    async def respawn(self, sid: str) -> str:
+        address = await self.supervisor.respawn("shard0", sid)
+        await self.client.redial_server("shard0", sid, address=address)
+        return address
+
+    def verdict(self):
+        return self.client.check_shard("shard0", algorithm="sweep")
+
+
+class ChurnScenarios:
+    """Retire/respawn scenarios, run once per hosting of the server group."""
+
+    hosting: type
+
     def test_retire_respawn_transfers_state_and_resumes(self):
         async def scenario():
-            async with LiveRegisterCluster(CONFIG, n_clients=2, seed=22) as c:
-                await c.write("c0", "while-away")
-                old_address = c.addresses["s0"]
-                await c.retire_server("s0")
-                assert "s0" in c.departed
+            async with self.hosting(seed=22, n_clients=2) as h:
+                await h.write(0, "while-away")
+                old_address = h.group.addresses["s0"]
+                await h.retire("s0")
+                assert "s0" in h.group.departed
                 # Quorums survive the absence; this write happens while
                 # s0 is really gone (daemon stopped, socket closed).
-                await c.write("c0", "mid-churn")
-                address = await c.respawn_server("s0")
+                await h.write(0, "mid-churn")
+                address = await h.respawn("s0")
                 assert address != old_address  # fresh ephemeral port
-                assert "s0" not in c.departed
+                assert "s0" not in h.group.departed
                 # The mediated handshake adopted the peers' snapshot.
-                joined = c.daemons["s0"].process
-                value = await c.read("c1")
-                verdict = c.check_regularity(algorithm="sweep")
-                return joined.value, value, verdict
+                joined = h.group.daemons["s0"].process
+                value = await h.read(1)
+                return joined.value, value, h.verdict()
 
         adopted, value, verdict = run(scenario())
         assert adopted == "mid-churn"
@@ -82,15 +160,15 @@ class TestChurnMembership:
 
     def test_retire_guards(self):
         async def scenario():
-            async with LiveRegisterCluster(CONFIG, n_clients=1, seed=23) as c:
+            async with self.hosting(seed=23, n_clients=1) as h:
                 with pytest.raises(ConfigurationError, match="unknown"):
-                    await c.retire_server("s9")
-                await c.retire_server("s0")
+                    await h.retire("s9")
+                await h.retire("s0")
                 with pytest.raises(ConfigurationError, match="already"):
-                    await c.retire_server("s0")
+                    await h.retire("s0")
                 with pytest.raises(ConfigurationError, match="not retired"):
-                    await c.respawn_server("s1")
-                await c.respawn_server("s0")
+                    await h.respawn("s1")
+                await h.respawn("s0")
 
         run(scenario())
 
@@ -98,21 +176,25 @@ class TestChurnMembership:
         # Unix sockets don't unlink on close; the respawn generation
         # suffix must keep the new daemon off the dead socket path.
         async def scenario():
-            async with LiveRegisterCluster(
-                CONFIG,
-                n_clients=1,
-                seed=24,
-                family="unix",
-                socket_dir=str(tmp_path),
-            ) as c:
-                await c.write("c0", "over-uds")
-                await c.retire_server("s2")
-                address = await c.respawn_server("s2")
+            async with self.hosting(
+                seed=24, n_clients=1, family="unix", socket_dir=str(tmp_path)
+            ) as h:
+                await h.write(0, "over-uds")
+                await h.retire("s2")
+                address = await h.respawn("s2")
                 assert "-g1.sock" in address
-                await c.write("c0", "post-churn")
-                value = await c.read("c0")
-                return value, c.check_regularity(algorithm="sweep")
+                await h.write(0, "post-churn")
+                value = await h.read(0)
+                return value, h.verdict()
 
         value, verdict = run(scenario())
         assert value == "post-churn"
         assert verdict.ok, verdict.violations
+
+
+class TestChurnMembership(ChurnScenarios):
+    hosting = ClusterHosting
+
+
+class TestInlineShardChurn(ChurnScenarios):
+    hosting = InlineShardHosting

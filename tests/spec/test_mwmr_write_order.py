@@ -1,4 +1,4 @@
-"""ROADMAP item 4: the seed=340 MWMR write-order divergence, pinned.
+"""ROADMAP item 1: the seed=340 MWMR write-order divergence, pinned.
 
 ``RegisterSystem(n=6, f=1, seed=340, n_clients=3,
 adversary=UniformLatencyAdversary(0.5, 2.421875))`` driving
